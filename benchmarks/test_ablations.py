@@ -6,52 +6,58 @@ alternative databases, lukewarm execution).
 import pytest
 from conftest import BENCH_SCALE, run_once, write_output
 
-from repro.core.dse import DesignSpace
 from repro.core.harness import ExperimentHarness
+from repro.core.parallel import run_measurement_matrix
 from repro.core.results import MeasurementTable
 from repro.db import CassandraStore, MariaDbStore, RedisStore
+from repro.experiments import ExperimentSpec
 from repro.workloads.catalog import get_function
 from repro.workloads.hotel import HotelSuite
+
+
+def sweep(function, knob, values, **base):
+    """One microarchitecture axis as a measure-kind experiment: returns
+    the cycle table and ``{value: FunctionMeasurement}``."""
+    spec = ExperimentSpec(
+        name="ablation", kind="measure", axes=[(knob, values)],
+        base=dict(function=function, time_scale=BENCH_SCALE.time,
+                  space_scale=BENCH_SCALE.space, **base))
+    measured = run_measurement_matrix(
+        [point.measurement_spec() for point in spec.expand()])
+    lines = ["DSE sweep: %s on riscv%s" % (function, "".join(
+                 ", %s=%s" % item for item in base.items())),
+             "%-18s  %12s  %12s" % (knob, "cold_cycles", "warm_cycles")]
+    lines += ["%-18s  %12d  %12d" % (value, measurement.cold.cycles,
+                                     measurement.warm.cycles)
+              for value, measurement in zip(values, measured)]
+    return "\n".join(lines), dict(zip(values, measured))
 
 
 def test_ablation_instruction_prefetcher(benchmark):
     """Cold starts are front-end bound; a next-line I-prefetcher is the
     Schall-style remedy (lukewarm-serverless / Ignite motivation)."""
-
-    def build():
-        space = DesignSpace(isa="riscv", scale=BENCH_SCALE)
-        space.axis("prefetch_i_degree", [0, 1, 2, 4, 8])
-        return space.sweep(get_function("fibonacci-python"))
-
-    result = run_once(benchmark, build)
-    write_output("ablation_prefetcher.txt", result.render())
-    points = {point.settings["prefetch_i_degree"]: point for point in result.points}
+    table, points = run_once(benchmark, lambda: sweep(
+        "fibonacci-python", "prefetch_i_degree", [0, 1, 2, 4, 8]))
+    write_output("ablation_prefetcher.txt", table)
     # Monotone cold improvement with degree; degree 4 at least 1.5x over none.
-    degrees = sorted(points)
-    colds = [points[degree].cold_cycles for degree in degrees]
+    colds = [points[degree].cold.cycles for degree in sorted(points)]
     assert colds == sorted(colds, reverse=True)
-    assert points[0].cold_cycles > 1.5 * points[4].cold_cycles
+    assert points[0].cold.cycles > 1.5 * points[4].cold.cycles
     # The warm path barely cares (already cache-resident).
-    assert points[0].warm_cycles < 1.6 * points[8].warm_cycles
+    assert points[0].warm.cycles < 1.6 * points[8].warm.cycles
 
 
 def test_ablation_replacement_policy(benchmark):
     """LRU vs FIFO vs random under the python cold-start footprint."""
-
-    def build():
-        space = DesignSpace(isa="riscv", scale=BENCH_SCALE)
-        space.axis("replacement", ["lru", "fifo", "random"])
-        return space.sweep(get_function("fibonacci-python"))
-
-    result = run_once(benchmark, build)
-    write_output("ablation_replacement.txt", result.render())
-    by_policy = {point.settings["replacement"]: point for point in result.points}
+    table, by_policy = run_once(benchmark, lambda: sweep(
+        "fibonacci-python", "replacement", ["lru", "fifo", "random"]))
+    write_output("ablation_replacement.txt", table)
     # A cold start is compulsory-miss dominated: policies land close.
-    colds = [point.cold_cycles for point in by_policy.values()]
+    colds = [point.cold.cycles for point in by_policy.values()]
     assert max(colds) < 1.5 * min(colds)
     # Warm locality is where LRU should not lose badly.
-    assert by_policy["lru"].warm_cycles <= 1.3 * min(
-        point.warm_cycles for point in by_policy.values()
+    assert by_policy["lru"].warm.cycles <= 1.3 * min(
+        point.warm.cycles for point in by_policy.values()
     )
 
 
@@ -194,56 +200,35 @@ def test_ablation_scale_invariance(benchmark):
 
 def test_ablation_prefetcher_kinds(benchmark):
     """The third §6 axis: none vs next-line vs PC-stride data prefetch, on
-    the strided database-scan workload where they differ."""
-
-    def build():
-        space = DesignSpace(isa="riscv", scale=BENCH_SCALE)
-        space.axis("prefetch_d_kind", ["none", "nextline", "stride"])
-        space.axis("prefetch_d_degree", [4])
-
-        def services():
-            suite = HotelSuite(CassandraStore())
-            return suite.services_for(suite.functions[0])
-
-        suite = HotelSuite(CassandraStore())
-        geo = suite.functions[0]
-        return space.sweep(geo, services_factory=lambda: HotelSuite(
-            CassandraStore()).services_for(geo))
-
-    result = run_once(benchmark, build)
-    write_output("ablation_prefetcher_kinds.txt", result.render())
-    by_kind = {point.settings["prefetch_d_kind"]: point
-               for point in result.points}
+    the strided database-scan workload where they differ (hotel geo,
+    backed by its default Cassandra store)."""
+    table, by_kind = run_once(benchmark, lambda: sweep(
+        "hotel-geo-go", "prefetch_d_kind", ["none", "nextline", "stride"],
+        prefetch_d_degree=4))
+    write_output("ablation_prefetcher_kinds.txt", table)
     # Any prefetching beats none on the scan-heavy cold path.
-    assert by_kind["nextline"].cold_cycles <= by_kind["none"].cold_cycles
-    assert by_kind["stride"].cold_cycles <= by_kind["none"].cold_cycles
+    assert by_kind["nextline"].cold.cycles <= by_kind["none"].cold.cycles
+    assert by_kind["stride"].cold.cycles <= by_kind["none"].cold.cycles
 
 
 def test_ablation_branch_predictors(benchmark):
     """Branch-predictor axis on the branchy Python cold path."""
-
-    def build():
-        space = DesignSpace(isa="riscv", scale=BENCH_SCALE)
-        space.axis("branch_predictor",
-                   ["tournament", "gshare", "bimodal", "static-taken"])
-        return space.sweep(get_function("fibonacci-python"))
-
-    result = run_once(benchmark, build)
-    write_output("ablation_bpred.txt", result.render())
-    by_kind = {point.settings["branch_predictor"]: point
-               for point in result.points}
+    table, by_kind = run_once(benchmark, lambda: sweep(
+        "fibonacci-python", "branch_predictor",
+        ["tournament", "gshare", "bimodal", "static-taken"]))
+    write_output("ablation_bpred.txt", table)
     # Cold code is one-shot: predictors cannot train and BTB misses cost
     # squashes, so always-taken is competitive there (the front-end-state
     # insight behind the Ignite line of work).  Keep the cold gap bounded.
     for kind in ("tournament", "gshare", "bimodal"):
-        assert by_kind[kind].cold_cycles <= \
-            by_kind["static-taken"].cold_cycles * 1.25, kind
+        assert by_kind[kind].cold.cycles <= \
+            by_kind["static-taken"].cold.cycles * 1.25, kind
     # Warm requests re-execute trained branches: real predictors win.
     for kind in ("tournament", "gshare", "bimodal"):
-        assert by_kind[kind].warm_cycles <= \
-            by_kind["static-taken"].warm_cycles * 1.02, kind
+        assert by_kind[kind].warm.cycles <= \
+            by_kind["static-taken"].warm.cycles * 1.02, kind
     warm_mispredicts = {
-        kind: point.measurement.warm.branch_mispredicts
-        for kind, point in by_kind.items()
+        kind: measurement.warm.branch_mispredicts
+        for kind, measurement in by_kind.items()
     }
     assert warm_mispredicts["tournament"] <= warm_mispredicts["static-taken"]

@@ -10,7 +10,7 @@
     python -m repro chaos fibonacci-go --isa riscv --fault-seed 7
     python -m repro serve fibonacci --profile burst --rps 100
     python -m repro sizes --arch riscv
-    python -m repro dse fibonacci-python --axis l2_size=131072,524288
+    python -m repro dse fibonacci-python --axis l2_size=131072,524288  # a measure experiment
     python -m repro dbcompare
     python -m repro experiment run perf-cost
     python -m repro cache stats
@@ -28,7 +28,6 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional
 
-from repro.core.dse import DesignSpace
 from repro.core.harness import ExperimentHarness
 from repro.core.results import cold_warm_table, isa_comparison_table
 from repro.core.scale import SimScale
@@ -257,9 +256,10 @@ def cmd_sizes(args) -> int:
 
 
 def cmd_dse(args) -> int:
-    """Run a design-space sweep over --axis specs."""
-    function = get_function(args.function)
-    space = DesignSpace(isa=args.isa, scale=_scale_from(args))
+    """Design-space sweep: the --axis specs as a measure experiment."""
+    from repro.experiments import ExperimentSpec, run_experiment
+
+    axes = []
     for axis_spec in args.axis:
         name, _sep, values_text = axis_spec.partition("=")
         if not values_text:
@@ -270,16 +270,48 @@ def cmd_dse(args) -> int:
                 values.append(int(token))
             except ValueError:
                 values.append(token)
-        space.axis(name, values)
-    result = space.sweep(function, jobs=args.jobs, cache=_cache_from(args))
-    print(result.render())
+        axes.append((name, values))
+    try:
+        spec = ExperimentSpec(
+            name="dse", kind="measure", axes=axes,
+            base={"function": get_function(args.function).name,
+                  "isa": args.isa, "time_scale": args.time_scale,
+                  "space_scale": args.space_scale})
+    except ValueError as error:
+        raise SystemExit(str(error))
+    result = run_experiment(spec, jobs=args.jobs, cache=_cache_from(args))
+    names = [name for name, _values in axes]
+    cold = [row["detail"]["cold_cycles"] for row in result.rows]
+    print("DSE sweep: %s on %s" % (spec.base["function"], args.isa))
+    print("  ".join("%-18s" % name for name in names)
+          + "  %12s  %12s" % ("cold_cycles", "warm_cycles"))
+    for row in result.rows:
+        print("  ".join("%-18s" % (row[name],) for name in names)
+              + "  %12d  %12d" % (row["detail"]["cold_cycles"],
+                                  row["detail"]["warm_cycles"]))
     print()
     print("sensitivity (max/min cold-cycle swing per axis):")
-    for axis, ratio in sorted(result.sensitivity().items(),
+    for name, ratio in sorted(_sensitivity(result.rows, names, cold).items(),
                               key=lambda item: -item[1]):
-        print("  %-20s %.2fx" % (axis, ratio))
-    print("best point: %s" % result.best().settings)
+        print("  %-20s %.2fx" % (name, ratio))
+    best = result.rows[cold.index(min(cold))]
+    print("best point: %s" % {name: best[name] for name in names})
     return 0
+
+
+def _sensitivity(rows, names, metric) -> Dict[str, float]:
+    """Per-axis swing: the worst max/min ``metric`` ratio among rows
+    that agree on every other axis (1.0: the knob does not matter)."""
+    spreads = {}
+    for name in names:
+        groups: Dict[tuple, List[float]] = {}
+        for row, value in zip(rows, metric):
+            key = tuple(row[other] for other in names if other != name)
+            groups.setdefault(key, []).append(value)
+        spreads[name] = max([1.0] + [max(values) / min(values)
+                                     for values in groups.values()
+                                     if min(values) > 0])
+    return spreads
 
 
 def cmd_trace(args) -> int:

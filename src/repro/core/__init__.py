@@ -27,7 +27,6 @@ from repro.core.config import (
     X86_PLATFORM,
     platform_for,
 )
-from repro.core.dse import DesignSpace
 from repro.core.duplex import DuplexHarness
 from repro.core.harness import (
     ExperimentHarness,

@@ -266,6 +266,10 @@ class ExperimentHarness:
         """
         from repro.workloads.boot import build_boot_program, build_db_boot_program
 
+        # Instantiate the setup core on every path, booted or restored
+        # from cache, so a stat dump lists the same keys whatever this
+        # process measured before.
+        self.system.cpu(SERVER_CORE, self.setup_cpu)
         stores = list(service_stores)
         base_key = (
             self.isa, self.scale.time, self.scale.space, self.seed,

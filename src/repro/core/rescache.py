@@ -38,7 +38,7 @@ FORMAT_VERSION = 2
 #: would produce (simulator timing, workload models, trace generation),
 #: so stale entries miss instead of lying.  The package version is mixed
 #: into digests as well.
-CODE_SALT = "rescache-v1"
+CODE_SALT = "rescache-v2"
 
 _FALSEY = ("0", "no", "off", "false")
 

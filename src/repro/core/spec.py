@@ -5,7 +5,7 @@ Historically the repo grew three divergent measurement signatures
 plus a separate task type for the parallel engine, each spelling the same
 (function, isa, scale, seed, db, requests) tuple slightly differently.
 :class:`MeasurementSpec` collapses them: the CLI, the parallel engine,
-the design-space explorer and the result-cache keying all consume this
+the experiment engine and the result-cache keying all consume this
 one type, and :func:`repro.core.reproduce.measure` dispatches on it.
 
 The class is deliberately *not* a ``dataclass``: CI runs Python 3.9,
@@ -44,8 +44,9 @@ class MeasurementSpec:
         :class:`~repro.workloads.hotel.HotelSuite` around it).
     ``platform``
         Optional :class:`~repro.core.config.PlatformConfig` override
-        (design-space exploration); ``None`` means the canonical
-        platform for ``isa``.
+        (an experiment's ``memory_mb`` and microarchitecture knobs, see
+        :func:`repro.experiments.spec.platform_override`); ``None``
+        means the canonical platform for ``isa``.
     ``trace``
         When true, the measurement runs with a
         :class:`~repro.obs.Tracer` attached and the result carries a

@@ -42,10 +42,11 @@ from repro.experiments.cost import (
 from repro.experiments.runner import instance_ticks, run_experiment
 from repro.experiments.spec import (
     KINDS,
+    MICROARCH_KNOBS,
     SPEC_SCHEMA,
     ExperimentPoint,
     ExperimentSpec,
-    platform_for_memory,
+    platform_override,
 )
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "KINDS",
+    "MICROARCH_KNOBS",
     "RESULT_SCHEMA",
     "SPEC_SCHEMA",
     "cpu_share",
@@ -65,7 +67,7 @@ __all__ = [
     "instance_ticks",
     "iter_experiments",
     "load_result",
-    "platform_for_memory",
+    "platform_override",
     "render_markdown",
     "run_experiment",
 ]

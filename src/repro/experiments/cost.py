@@ -16,7 +16,7 @@ Two billing shapes, matching the two experiment kinds:
   the instance's fractional CPU share — small grants get a slice of a
   core (:data:`FULL_CPU_SHARE_MB` ⇔ one full vCPU, Lambda's 1769 MB).
   Together with the LLC-slice perf effect
-  (:func:`repro.experiments.spec.platform_for_memory`) this produces the
+  (:func:`repro.experiments.spec.platform_override`) this produces the
   classic U-shaped $-vs-memory curve: more memory costs more per GB-s
   but finishes sooner.
 * **Instance-uptime billing** (serve kind, Knative/provisioned-style):

@@ -27,6 +27,12 @@ cost model (:mod:`repro.experiments.cost`) completes the story by
 scaling CPU time share with the same grant, so the classic perf-cost
 memory sweep has a real knee.
 
+Measure studies also take the microarchitecture knobs of
+:data:`MICROARCH_KNOBS` (cache geometry, replacement, prefetchers,
+pipeline widths, branch predictor), so a design-space exploration is
+just a measure study with those axes.  They are only-when-set, and
+``l2_size`` may not meet a non-reference ``memory_mb``: both set the L2.
+
 Like every config object in this repo (kw-only, ``__slots__``,
 ``fingerprint()``, ``as_dict``/``from_dict``), the spec is hand-rolled
 rather than a dataclass: CI runs Python 3.9, which lacks
@@ -35,6 +41,7 @@ rather than a dataclass: CI runs Python 3.9, which lacks
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -45,7 +52,9 @@ from repro.core.scale import SimScale
 from repro.core.spec import MeasurementSpec
 from repro.serverless.loadgen import ARRIVAL_PROFILES
 from repro.serverless.platform import PLACEMENT_POLICIES
-from repro.sim.mem.hierarchy import MemoryHierarchyConfig
+from repro.sim.cpu.bpred import PREDICTORS
+from repro.sim.mem.prefetcher import PREFETCHER_KINDS
+from repro.sim.mem.replacement import policy_names
 
 #: Version tag embedded in every serialized spec (and, transitively, in
 #: every result artifact).  Bump on any incompatible shape change.
@@ -79,6 +88,31 @@ MEASURE_KNOBS: Dict[str, Any] = {
     "vector": None,
 }
 
+#: Microarchitecture knobs of ``kind="measure"`` studies, the paper's
+#: future-work design space (caches, branch predictors, prefetchers).
+#: Each sets the field of the same name on the point's
+#: :class:`~repro.sim.mem.hierarchy.MemoryHierarchyConfig` (``MEM_KNOBS``)
+#: or :class:`~repro.sim.cpu.o3.O3Config` (``O3_KNOBS``).  They are
+#: *only-when-set*: they have no default in :data:`MEASURE_KNOBS`, and a
+#: knob nobody set stays out of the base scenario, of
+#: :meth:`ExperimentSpec.as_dict` and so of every fingerprint.
+MEM_KNOBS = ("l1i_size", "l1d_size", "l2_size", "l2_assoc", "replacement",
+             "prefetch_i_degree", "prefetch_d_degree", "prefetch_i_kind",
+             "prefetch_d_kind", "l2_latency")
+O3_KNOBS = ("rob_entries", "lq_entries", "sq_entries", "dispatch_width",
+            "commit_width", "mispredict_penalty", "branch_predictor")
+MICROARCH_KNOBS = MEM_KNOBS + O3_KNOBS
+
+#: The legal values of the name-valued microarchitecture knobs.  Every
+#: other microarchitecture knob takes a positive int (a prefetch degree
+#: may be 0: prefetching off).
+MICROARCH_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "replacement": tuple(policy_names()),
+    "prefetch_i_kind": PREFETCHER_KINDS,
+    "prefetch_d_kind": PREFETCHER_KINDS,
+    "branch_predictor": tuple(sorted(PREDICTORS)),
+}
+
 #: Base-scenario knobs for ``kind="serve"`` studies, with defaults.
 SERVE_KNOBS: Dict[str, Any] = {
     "function": "fibonacci-python",
@@ -105,36 +139,45 @@ _KNOBS_BY_KIND = {"measure": MEASURE_KNOBS, "serve": SERVE_KNOBS}
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
-def platform_for_memory(isa: str, memory_mb: int) -> Optional[PlatformConfig]:
-    """The platform a ``memory_mb`` instance grant buys on ``isa``.
+def platform_override(isa: str, memory_mb: int = MEMORY_REFERENCE_MB,
+                      **microarch: Any) -> Optional[PlatformConfig]:
+    """The platform one measure point runs on: ``isa``'s canonical one
+    with the point's instance grant and microarchitecture knobs applied.
 
     Models FaaS resource isolation: the instance's last-level-cache
-    slice scales linearly with its memory grant
+    slice scales linearly with its ``memory_mb`` grant
     (:data:`MEMORY_REFERENCE_MB` ⇔ the canonical 512 KB L2), clamped to
-    [:data:`MIN_L2_BYTES`, :data:`MAX_L2_BYTES`].  Returns ``None`` for
-    the reference grant so the default memory keeps the canonical
-    platform — and therefore byte-identical measurement digests with
-    plain ``repro measure`` runs.
+    [:data:`MIN_L2_BYTES`, :data:`MAX_L2_BYTES`].  ``microarch`` sets
+    :data:`MICROARCH_KNOBS` fields by name.  Returns ``None`` when the
+    result is the canonical geometry, so such points keep byte-identical
+    measurement digests with plain ``repro measure`` runs.
     """
     if memory_mb <= 0:
         raise ValueError("memory_mb must be positive, got %r" % (memory_mb,))
     base = platform_for(isa)
-    l2_size = int(base.mem_config.l2_size * memory_mb / MEMORY_REFERENCE_MB)
-    l2_size = max(MIN_L2_BYTES, min(l2_size, MAX_L2_BYTES))
-    if l2_size == base.mem_config.l2_size:
+    changes: Dict[str, Dict[str, Any]] = {"mem": {}, "o3": {}}
+    if memory_mb != MEMORY_REFERENCE_MB:
+        l2_size = int(base.mem_config.l2_size * memory_mb / MEMORY_REFERENCE_MB)
+        changes["mem"]["l2_size"] = max(MIN_L2_BYTES,
+                                        min(l2_size, MAX_L2_BYTES))
+    for knob, value in microarch.items():
+        changes["mem" if knob in MEM_KNOBS else "o3"][knob] = value
+    mem = _with_fields(base.mem_config, changes["mem"])
+    o3 = _with_fields(base.o3_config, changes["o3"])
+    if mem is base.mem_config and o3 is base.o3_config:
         return None
-    mem_kwargs = {key: getattr(base.mem_config, key)
-                  for key in MemoryHierarchyConfig().__dict__}
-    mem_kwargs["l2_size"] = l2_size
-    return PlatformConfig(
-        isa=base.isa,
-        os_name=base.os_name,
-        kernel_version=base.kernel_version,
-        compiler=base.compiler,
-        num_cores=base.num_cores,
-        mem_config=MemoryHierarchyConfig(**mem_kwargs),
-        o3_config=base.o3_config,
-    )
+    platform = copy.copy(base)
+    platform.mem_config = mem
+    platform.o3_config = o3
+    return platform
+
+
+def _with_fields(config: Any, changes: Dict[str, Any]) -> Any:
+    """``config`` itself if ``changes`` change nothing, else a copy with
+    them applied."""
+    if all(getattr(config, key) == value for key, value in changes.items()):
+        return config
+    return type(config)(**dict(vars(config), **changes))
 
 
 def _require_scalar(context: str, value: Any) -> None:
@@ -180,10 +223,11 @@ class ExperimentPoint:
     def measurement_spec(self) -> MeasurementSpec:
         """Lower a measure-kind point to the core measurement spec.
 
-        The ``memory_mb`` knob becomes a platform override (see
-        :func:`platform_for_memory`), which the result cache already
-        keys on via the platform fingerprint — so experiment reruns are
-        warm and bit-identical per seed.
+        The ``memory_mb`` knob and any set microarchitecture knob
+        become one platform override (see :func:`platform_override`),
+        which the result cache already keys on via the platform
+        fingerprint — so experiment reruns are warm and bit-identical
+        per seed.
         """
         if self.kind != "measure":
             raise ValueError("only measure-kind points lower to "
@@ -206,7 +250,10 @@ class ExperimentPoint:
             seed=knobs["seed"],
             db=self.resolved_db(),
             requests=knobs["requests"],
-            platform=platform_for_memory(knobs["isa"], knobs["memory_mb"]),
+            platform=platform_override(
+                knobs["isa"], knobs["memory_mb"],
+                **{knob: knobs[knob] for knob in MICROARCH_KNOBS
+                   if knob in knobs}),
             sampling=sampling,
             vector=vector,
         )
@@ -249,20 +296,23 @@ class ExperimentSpec:
             raise ValueError("kind must be one of %s, got %r"
                              % ("/".join(KINDS), kind))
         defaults = _KNOBS_BY_KIND[kind]
+        legal = set(defaults)
+        if kind == "measure":
+            legal.update(MICROARCH_KNOBS)
         merged = dict(defaults)
         for key, value in (base or {}).items():
-            if key not in defaults:
+            if key not in legal:
                 raise ValueError("unknown %s knob %r (known: %s)"
-                                 % (kind, key, ", ".join(sorted(defaults))))
+                                 % (kind, key, ", ".join(sorted(legal))))
             _require_scalar("base knob %r" % key, value)
             merged[key] = value
         normalized_axes: List[Tuple[str, Tuple[Any, ...]]] = []
         seen = set()
         for axis_name, values in (axes or ()):
-            if axis_name not in defaults:
+            if axis_name not in legal:
                 raise ValueError("unknown %s axis %r (known: %s)"
                                  % (kind, axis_name,
-                                    ", ".join(sorted(defaults))))
+                                    ", ".join(sorted(legal))))
             if axis_name in seen:
                 raise ValueError("duplicate axis %r" % axis_name)
             seen.add(axis_name)
@@ -299,12 +349,30 @@ class ExperimentSpec:
             for axis_name, values in self._axes:
                 if axis_name == knob:
                     return values
-            return (self._base[knob],)
+            return (self._base[knob],) if knob in self._base else ()
 
         for memory_mb in candidates("memory_mb"):
             if not isinstance(memory_mb, int) or memory_mb <= 0:
                 raise ValueError("memory_mb must be a positive int, got %r"
                                  % (memory_mb,))
+        for knob in MICROARCH_KNOBS:
+            choices = MICROARCH_CHOICES.get(knob)
+            floor = 0 if knob.endswith("_degree") else 1
+            for value in candidates(knob):
+                if choices is not None and value not in choices:
+                    raise ValueError("unknown %s %r (known: %s)"
+                                     % (knob, value, ", ".join(choices)))
+                if choices is None and (not isinstance(value, int)
+                                        or isinstance(value, bool)
+                                        or value < floor):
+                    raise ValueError("%s must be an int >= %d, got %r"
+                                     % (knob, floor, value))
+        if candidates("l2_size") and any(
+                memory_mb != MEMORY_REFERENCE_MB
+                for memory_mb in candidates("memory_mb")):
+            raise ValueError(
+                "l2_size and a memory_mb other than %d both set the L2; "
+                "sweep one of them" % MEMORY_REFERENCE_MB)
         if self.kind == "serve":
             for profile in candidates("profile"):
                 if profile not in ARRIVAL_PROFILES:

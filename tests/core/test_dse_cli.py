@@ -1,11 +1,11 @@
-"""Tests for the DSE API, the lukewarm protocol, and the CLI."""
+"""Tests for design-space sweeps, the lukewarm protocol, and the CLI."""
 
 import pytest
 
 from repro.cli import main
-from repro.core.dse import DesignSpace, KNOWN_AXES
 from repro.core.harness import ExperimentHarness, clear_boot_checkpoint_cache
 from repro.core.scale import SimScale
+from repro.experiments import MICROARCH_KNOBS, ExperimentSpec, run_experiment
 from repro.workloads.catalog import get_function
 
 SCALE = SimScale(time=2048, space=32)
@@ -18,68 +18,86 @@ def _isolated_checkpoints():
     clear_boot_checkpoint_cache()
 
 
+def sweep(function, *axes):
+    """Measure a microarchitecture sweep as a measure-kind experiment."""
+    spec = ExperimentSpec(
+        name="dse", kind="measure", axes=axes,
+        base={"function": function, "time_scale": SCALE.time,
+              "space_scale": SCALE.space})
+    return run_experiment(spec).rows
+
+
+def cold(row):
+    return row["detail"]["cold_cycles"]
+
+
+def dse(capsys, function, *axes):
+    """Run the ``dse`` verb; returns its stdout lines."""
+    argv = ["dse", function, "--time-scale", str(SCALE.time),
+            "--space-scale", str(SCALE.space)]
+    for axis in axes:
+        argv += ["--axis", axis]
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()
+
+
 class TestDesignSpace:
     def test_cartesian_product_size(self):
-        space = DesignSpace(isa="riscv", scale=SCALE)
-        space.axis("l2_size", [128 * 1024, 512 * 1024])
-        space.axis("rob_entries", [64, 192])
-        result = space.sweep(get_function("fibonacci-go"))
-        assert len(result) == 4
-        settings = {tuple(sorted(point.settings.items())) for point in result.points}
+        rows = sweep("fibonacci-go", ("l2_size", [128 * 1024, 512 * 1024]),
+                     ("rob_entries", [64, 192]))
+        assert len(rows) == 4
+        settings = {(row["l2_size"], row["rob_entries"]) for row in rows}
         assert len(settings) == 4
 
     def test_bigger_l2_never_slower_cold(self):
-        space = DesignSpace(isa="riscv", scale=SCALE)
-        space.axis("l2_size", [64 * 1024, 1024 * 1024])
-        result = space.sweep(get_function("fibonacci-python"))
-        small, big = result.points
-        assert big.cold_cycles <= small.cold_cycles
+        small, big = sweep("fibonacci-python",
+                           ("l2_size", [64 * 1024, 1024 * 1024]))
+        assert cold(big) <= cold(small)
 
     def test_prefetcher_helps_cold_start(self):
-        space = DesignSpace(isa="riscv", scale=SCALE)
-        space.axis("prefetch_i_degree", [0, 4])
-        result = space.sweep(get_function("fibonacci-python"))
-        off, on = result.points
-        assert on.cold_cycles < off.cold_cycles
+        off, on = sweep("fibonacci-python", ("prefetch_i_degree", [0, 4]))
+        assert cold(on) < cold(off)
 
-    def test_sensitivity_identifies_the_live_knob(self):
-        space = DesignSpace(isa="riscv", scale=SCALE)
-        space.axis("prefetch_i_degree", [0, 4])
-        space.axis("sq_entries", [32, 33])  # inert for this workload
-        result = space.sweep(get_function("fibonacci-python"))
-        sensitivity = result.sensitivity()
-        assert sensitivity["prefetch_i_degree"] > sensitivity["sq_entries"]
+    def test_sensitivity_identifies_the_live_knob(self, capsys):
+        lines = dse(capsys, "fibonacci-python", "prefetch_i_degree=0,4",
+                    "sq_entries=32,33")  # sq_entries is inert here
+        ranking = lines[lines.index(
+            "sensitivity (max/min cold-cycle swing per axis):") + 1:]
+        assert ranking[0].split()[0] == "prefetch_i_degree"
+        assert ranking[1].split() == ["sq_entries", "1.00x"]
 
-    def test_best_and_worst(self):
-        space = DesignSpace(isa="riscv", scale=SCALE)
-        space.axis("l2_size", [64 * 1024, 512 * 1024])
-        result = space.sweep(get_function("aes-go"))
-        assert result.best().cold_cycles <= result.worst().cold_cycles
+    def test_best_and_worst(self, capsys):
+        lines = dse(capsys, "aes-go", "l2_size=65536,524288")
+        rows = [line.split() for line in lines[2:4]]
+        best = min(rows, key=lambda row: int(row[1]))
+        assert lines[-1] == "best point: {'l2_size': %s}" % best[0]
 
     def test_unknown_axis_rejected(self):
-        with pytest.raises(ValueError):
-            DesignSpace().axis("btb_rainbows", [1])
+        with pytest.raises(ValueError, match="btb_rainbows"):
+            ExperimentSpec(name="dse", kind="measure",
+                           axes=[("btb_rainbows", [1])])
+        with pytest.raises(SystemExit):
+            main(["dse", "aes-go", "--axis", "btb_rainbows=1"])
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(ValueError):
-            DesignSpace().axis("l2_size", [])
+        with pytest.raises(ValueError, match="at least one"):
+            ExperimentSpec(name="dse", kind="measure", axes=[("l2_size", [])])
 
     def test_sweep_without_axes_rejected(self):
-        with pytest.raises(ValueError):
-            DesignSpace().sweep(get_function("aes-go"))
+        with pytest.raises(SystemExit):
+            main(["dse", "aes-go"])
 
-    def test_render_mentions_axes(self):
-        space = DesignSpace(isa="riscv", scale=SCALE)
-        space.axis("replacement", ["lru", "fifo"])
-        result = space.sweep(get_function("aes-go"))
-        text = result.render()
-        assert "replacement" in text and "lru" in text
+    def test_render_mentions_axes(self, capsys):
+        lines = dse(capsys, "aes-go", "replacement=lru,fifo")
+        assert lines[1].split() == ["replacement", "cold_cycles",
+                                    "warm_cycles"]
+        assert [line.split()[0] for line in lines[2:4]] == ["lru", "fifo"]
 
     def test_axes_cover_caches_pipeline_and_prefetchers(self):
-        # The §6 wishlist: caches, branch predictors (penalty), prefetchers.
-        assert "l2_size" in KNOWN_AXES
-        assert "mispredict_penalty" in KNOWN_AXES
-        assert "prefetch_i_degree" in KNOWN_AXES
+        # The §6 wishlist: caches, branch predictors, prefetchers.
+        for knob in ("l2_size", "mispredict_penalty", "branch_predictor",
+                     "prefetch_i_degree", "prefetch_d_kind"):
+            assert knob in MICROARCH_KNOBS
 
 
 class TestLukewarm:

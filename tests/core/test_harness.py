@@ -107,9 +107,7 @@ class TestProtocol:
     def test_layered_boot_measures_like_straight_through(self):
         """Continuing from a restored layer is state-identical to booting
         straight through: measuring in either prepare order gives the
-        same counters.  (Stat *group* presence can differ — a harness
-        that restored every layer never instantiates the setup CPU's
-        stat group — so zero-valued keys are normalised out.)"""
+        same counters and the same stat dump, key for key."""
         from repro.db.cassandra import CassandraStore
         from repro.workloads.hotel import HotelSuite
 
@@ -125,9 +123,6 @@ class TestProtocol:
                     services=suite.services_for(functions[name]))
             return out
 
-        def nonzero(dump):
-            return {key: value for key, value in dump.items() if value}
-
         forward = measure(["geo", "rate"])
         reverse = measure(["rate", "geo"])
         for name in ("geo", "rate"):
@@ -137,7 +132,7 @@ class TestProtocol:
                 for field in type(a).FIELDS:
                     assert getattr(a, field) == getattr(b, field), (
                         name, phase, field)
-                assert nonzero(a.raw_dump) == nonzero(b.raw_dump)
+                assert a.raw_dump == b.raw_dump
 
     def test_kvm_setup_falls_back_on_instability(self):
         harness = ExperimentHarness(isa="riscv", scale=SCALE, setup_cpu="kvm",

@@ -19,6 +19,16 @@ REPO_ROOT = os.path.dirname(os.path.dirname(
 CATALOG_DOC = os.path.join(REPO_ROOT, "docs", "EXPERIMENT_CATALOG.md")
 ARTIFACT_DIR = os.path.join(REPO_ROOT, "benchmarks", "output", "experiments")
 
+#: Every catalog entry's spec fingerprint, as its committed artifact
+#: embeds it.
+FINGERPRINTS = {
+    "perf-cost": "22aa675dcd208d85",
+    "db-shootout": "f9e7dfca9bb506be",
+    "cold-start-eviction": "ad0085a4e779cd85",
+    "concurrency-sweep": "24391d5735f149ae",
+    "placement-chaos": "1315ebf28d6c5f41",
+}
+
 
 class TestCatalogEntries:
     def test_every_entry_builds_and_expands(self):
@@ -52,6 +62,11 @@ class TestCatalogDocumentation:
 
 class TestCommittedArtifacts:
     """benchmarks/output/experiments/ holds a current artifact per entry."""
+
+    def test_every_catalog_fingerprint_pinned(self):
+        # A new spec knob must not move any existing study's identity.
+        assert {spec.name: spec.fingerprint()
+                for spec in iter_experiments()} == FINGERPRINTS
 
     def test_artifacts_exist_and_match_spec_fingerprints(self):
         stale = []

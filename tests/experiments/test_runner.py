@@ -85,6 +85,27 @@ class TestMeasureRows:
         assert "memory_mb=256" in lines[0]
 
 
+class TestMicroarchSweep:
+    def test_pinned_cold_warm_cycles(self):
+        # A two-axis microarchitecture sweep, pinned point by point: the
+        # (524288, tournament) point is the canonical platform.
+        spec = ExperimentSpec(
+            name="bpred-l2", kind="measure",
+            base={"function": "fibonacci-go", "time_scale": 2048,
+                  "space_scale": 32},
+            axes=[("l2_size", [131072, 524288]),
+                  ("branch_predictor", ["tournament", "static-taken"])])
+        rows = run_experiment(spec, cache=False).rows
+        assert [(row["l2_size"], row["branch_predictor"],
+                 row["detail"]["cold_cycles"], row["detail"]["warm_cycles"])
+                for row in rows] == [
+            (131072, "tournament", 4038, 1598),
+            (131072, "static-taken", 3920, 1694),
+            (524288, "tournament", 3897, 993),
+            (524288, "static-taken", 3779, 1089),
+        ]
+
+
 class TestServeRows:
     def test_row_shape_and_tail_latency(self):
         result = run_experiment(SERVE_SPEC)

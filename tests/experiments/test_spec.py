@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.experiments import ExperimentSpec, platform_for_memory
+from repro.experiments import (
+    MICROARCH_KNOBS,
+    ExperimentSpec,
+    platform_override,
+)
 from repro.experiments.spec import (
     MAX_L2_BYTES,
     MEASURE_KNOBS,
@@ -144,28 +148,74 @@ class TestExpansion:
             spec.expand()[0].measurement_spec()
 
 
+class TestMicroarchKnobs:
+    def test_only_when_set(self):
+        # Unset knobs stay out of the canonical form, so adding them
+        # moved no existing fingerprint; a set knob is part of it.
+        plain = ExperimentSpec(name="m", kind="measure")
+        assert not set(plain.as_dict()["base"]) & set(MICROARCH_KNOBS)
+        tuned = ExperimentSpec(name="m", kind="measure",
+                               base={"branch_predictor": "gshare"})
+        assert tuned.as_dict()["base"]["branch_predictor"] == "gshare"
+        assert tuned.fingerprint() != plain.fingerprint()
+        assert ExperimentSpec.from_dict(tuned.as_dict()) == tuned
+
+    def test_knobs_lower_to_one_platform_override(self):
+        spec = ExperimentSpec(
+            name="m", kind="measure", base={"rob_entries": 64},
+            axes=[("l2_size", [131072, 524288]),
+                  ("prefetch_d_kind", ["stride"])])
+        small, canonical_l2 = [point.measurement_spec().platform
+                               for point in spec.expand()]
+        assert small.mem_config.l2_size == 131072
+        assert canonical_l2.mem_config.l2_size == 524288
+        for platform in (small, canonical_l2):
+            assert platform.mem_config.prefetch_d_kind == "stride"
+            assert platform.o3_config.rob_entries == 64
+
+    def test_canonical_settings_lower_to_no_platform(self):
+        # Knobs set to the canonical geometry keep plain-measure digests.
+        spec = ExperimentSpec(
+            name="m", kind="measure",
+            base={"l2_size": 512 * 1024, "branch_predictor": "tournament"})
+        assert spec.expand()[0].measurement_spec().platform is None
+        assert platform_override("riscv", l2_size=512 * 1024) is None
+
+
 class TestMemoryPlatform:
     def test_reference_grant_is_canonical(self):
-        assert platform_for_memory("riscv", MEMORY_REFERENCE_MB) is None
+        assert platform_override("riscv", MEMORY_REFERENCE_MB) is None
 
     def test_slice_scales_and_clamps(self):
-        assert platform_for_memory("riscv", 256).mem_config.l2_size \
+        assert platform_override("riscv", 256).mem_config.l2_size \
             == 256 * 1024
-        assert platform_for_memory("x86", 2048).mem_config.l2_size \
+        assert platform_override("x86", 2048).mem_config.l2_size \
             == 2048 * 1024
-        assert platform_for_memory("riscv", 16).mem_config.l2_size \
+        assert platform_override("riscv", 16).mem_config.l2_size \
             == MIN_L2_BYTES
-        assert platform_for_memory("riscv", 65536).mem_config.l2_size \
+        assert platform_override("riscv", 65536).mem_config.l2_size \
             == MAX_L2_BYTES
 
     def test_only_l2_differs_from_canonical(self):
         from repro.core.config import platform_for
 
         base = platform_for("riscv")
-        override = platform_for_memory("riscv", 1024)
+        override = platform_override("riscv", 1024)
         assert override.isa == base.isa
         assert override.o3_config is base.o3_config
         assert override.mem_config.l1d_size == base.mem_config.l1d_size
+
+    def test_digest_sees_platform_config(self):
+        from repro.core.config import platform_for
+        from repro.core.parallel import task_digest
+        from repro.core.spec import MeasurementSpec
+
+        base = MeasurementSpec(function="aes-go", time=4096, space=32)
+        tweaked = base.replace(
+            platform=platform_override("riscv", l2_size=64 * 1024))
+        stock = base.replace(platform=platform_for("riscv"))
+        assert task_digest(base) == task_digest(stock)
+        assert task_digest(base) != task_digest(tweaked)
 
 
 class TestValidation:
@@ -191,6 +241,31 @@ class TestValidation:
                   base={"placement": "everywhere"}), "placement"),
             (dict(name="x", kind="measure",
                   axes=[("memory_mb", [[128]])]), "scalar"),
+            (dict(name="x", kind="measure", base={"replacement": "plru"}),
+             "replacement 'plru' .known: fifo, lru, random"),
+            (dict(name="x", kind="measure",
+                  axes=[("branch_predictor", ["gshare", "oracle"])]),
+             "known: bimodal, gshare, static-taken, tournament"),
+            (dict(name="x", kind="measure",
+                  base={"prefetch_i_kind": "markov"}),
+             "known: none, nextline, stride"),
+            (dict(name="x", kind="measure",
+                  axes=[("prefetch_d_kind", ["stride", "markov"])]),
+             "prefetch_d_kind 'markov'"),
+            (dict(name="x", kind="measure", base={"l2_size": 0}),
+             "l2_size must be an int >= 1"),
+            (dict(name="x", kind="measure",
+                  axes=[("rob_entries", [64, -1])]), "rob_entries"),
+            (dict(name="x", kind="measure",
+                  base={"dispatch_width": 0}), "dispatch_width"),
+            (dict(name="x", kind="measure",
+                  base={"prefetch_i_degree": -1}), "int >= 0"),
+            (dict(name="x", kind="measure", base={"l2_size": 65536},
+                  axes=[("memory_mb", [256, 512])]), "both set the L2"),
+            (dict(name="x", kind="measure", base={"memory_mb": 1024},
+                  axes=[("l2_size", [65536])]), "both set the L2"),
+            (dict(name="x", kind="serve",
+                  base={"branch_predictor": "gshare"}), "knob"),
         ]
         for kwargs, fragment in cases:
             with pytest.raises(ValueError, match=fragment):

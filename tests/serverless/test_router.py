@@ -312,11 +312,6 @@ class TestPipelineBitIdentity:
 
         spec = MeasurementSpec(function="fibonacci-python", isa="riscv",
                                time=2048, space=32)
-        # Warm the process-local boot-checkpoint cache first: the very
-        # first in-process measurement carries zero-valued atomic-CPU
-        # stat keys in raw_dump that checkpoint-restored runs don't — a
-        # pre-existing quirk this test is not about.
-        execute_task(spec)
         before = execute_task(spec).as_dict(full=True)
         router = make_router(seed=3)
         router.serve("fn", arrival_ticks("burst", rps=100, requests=40,

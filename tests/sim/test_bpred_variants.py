@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.core.dse import DesignSpace
 from repro.core.harness import clear_boot_checkpoint_cache
-from repro.core.scale import SimScale
 from repro.sim.cpu.bpred import (
     BimodalPredictor,
     GSharePredictor,
@@ -15,7 +13,6 @@ from repro.sim.cpu.bpred import (
 )
 from repro.sim.isa import ir
 from repro.sim.system import SimulatedSystem
-from repro.workloads.catalog import get_function
 
 
 @pytest.fixture(autouse=True)
@@ -103,15 +100,3 @@ class TestPredictorInO3:
         # static-taken is right 85% here; the tournament should at least
         # match it after warm-up.
         assert cycles["tournament"] <= cycles["static-taken"] * 1.1
-
-    def test_dse_branch_predictor_axis(self):
-        space = DesignSpace(isa="riscv", scale=SimScale(time=2048, space=32))
-        space.axis("branch_predictor", ["tournament", "static-taken"])
-        result = space.sweep(get_function("fibonacci-go"))
-        kinds = {point.settings["branch_predictor"] for point in result.points}
-        assert kinds == {"tournament", "static-taken"}
-        by_kind = {point.settings["branch_predictor"]: point
-                   for point in result.points}
-        # The boot/init path is branchy enough for the predictor to matter.
-        assert by_kind["tournament"].cold_cycles <= \
-            by_kind["static-taken"].cold_cycles * 1.05
