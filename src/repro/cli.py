@@ -455,22 +455,26 @@ def cmd_serve(args) -> int:
                 % function.name)
         services = _hotel_services(args.db).services_for(function)
     cluster = None
-    if args.nodes:
-        cluster = ClusterConfig(nodes=args.nodes, placement=args.placement,
-                                node_capacity=args.node_capacity,
-                                node_fail_rate=args.node_fail)
+    try:
+        if args.nodes:
+            cluster = ClusterConfig(nodes=args.nodes,
+                                    placement=args.placement,
+                                    node_capacity=args.node_capacity,
+                                    node_fail_rate=args.node_fail)
+        scaling = ScalingConfig(
+            target_concurrency=args.target_concurrency,
+            min_instances=args.min_instances,
+            max_instances=args.max_instances,
+            queue_capacity=args.queue_capacity,
+        )
+        arrivals = arrival_ticks(args.profile, rps=args.rps,
+                                 requests=args.requests, seed=args.seed)
+    except ValueError as error:
+        raise SystemExit(str(error))
     platform = make_platform(args.isa, cluster=cluster, seed=args.seed)
     platform.registry.push(function.image(args.isa))
-    scaling = ScalingConfig(
-        target_concurrency=args.target_concurrency,
-        min_instances=args.min_instances,
-        max_instances=args.max_instances,
-        queue_capacity=args.queue_capacity,
-    )
     platform.deploy(function.name, function.name, function.runtime_name,
                     function.handler, services=services, scaling=scaling)
-    arrivals = arrival_ticks(args.profile, rps=args.rps,
-                             requests=args.requests, seed=args.seed)
     result = platform.serve(function.name, arrivals,
                             payload_factory=function.default_payload)
 

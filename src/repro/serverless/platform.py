@@ -485,6 +485,7 @@ class ClusterPlatform(Router, Platform):
                 record.result = {"error": record.error}
                 record.meter("faults.cluster.node_down")
             instance.inflight = []
+            pool.busy -= instance.busy
             instance.busy = 0
             instance.lost = True
             instance.state = FunctionState.DEAD

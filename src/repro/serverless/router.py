@@ -170,6 +170,9 @@ class FunctionPool:
         self.autoscaler = ConcurrencyAutoscaler(scaling, name)
         self.instances: List[PooledInstance] = []
         self.queue: deque = deque()
+        #: Sum of ``busy`` over ``instances``, kept in step wherever an
+        #: instance's ``busy`` changes.
+        self.busy = 0
         #: Monotone pool-index counter; never reused, so container names
         #: are unique across recycles.
         self.next_index = 0
@@ -186,7 +189,7 @@ class FunctionPool:
     @property
     def in_flight(self) -> int:
         """Demand signal the autoscaler watches: executing + queued."""
-        return sum(inst.busy for inst in self.instances) + len(self.queue)
+        return self.busy + len(self.queue)
 
     @property
     def ready_count(self) -> int:
@@ -501,6 +504,7 @@ class Router:
         if record in instance.inflight:
             instance.inflight.remove(record)
         instance.busy -= 1
+        pool.busy -= 1
         instance.invocations += 1
         instance.last_used = self.now
         pool.last_active = self.now
@@ -700,6 +704,7 @@ class Router:
             record.cold = candidate.cold_pending
             candidate.cold_pending = False
             candidate.busy += 1
+            pool.busy += 1
             candidate.state = FunctionState.RUNNING
             candidate.inflight.append(record)
             assert candidate.busy <= target, \

@@ -30,11 +30,19 @@ Everything is deterministic: decisions depend only on the logical tick
 clock and the observed sample history, never on wall clock, so two serve
 runs with the same seed produce byte-identical scaling-event logs
 (asserted by ``tests/serverless/test_router.py``).
+
+Cost: the autoscaler stores the demand signal with its prefix integrals
+(the exact integer area up to each sample), so a window average is two
+bisects and a subtraction — O(log history) per evaluation — and history
+is trimmed, amortised O(1) per sample, to what the stable window covers.
+An integer area below 2**53 converts to a float exactly, so the average
+is the same double a segment-by-segment float sum would give.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 _CONFIG_FIELDS = (
@@ -227,6 +235,46 @@ class ScalingEvent:
         )
 
 
+def _integrals(ticks: List[int], values: List[int]) -> List[int]:
+    """Prefix integrals of a step signal: entry ``i`` is the exact integer
+    area from ``ticks[0]`` up to ``ticks[i]``."""
+    integral = [0] * len(ticks)
+    for index in range(1, len(ticks)):
+        integral[index] = (integral[index - 1] + values[index - 1]
+                           * (ticks[index] - ticks[index - 1]))
+    return integral
+
+
+def _average(ticks: List[int], values: List[int], integral: List[int],
+             first: int, now: int, window: int) -> float:
+    """Time-weighted mean of the step signal ``ticks[first:]`` /
+    ``values[first:]`` over ``[now - window, now]``.
+
+    The area under the signal up to ``x`` is ``integral[i] + values[i] *
+    (x - ticks[i])`` for the last sample ``i`` at or before ``x`` (one
+    bisect), and ``integral[first]`` before the first sample: the signal
+    is zero there.  The window's area is the difference of its two
+    endpoints' areas, an exact integer; dividing it by the window length
+    gives the same double a segment-by-segment float sum would, because
+    every partial sum below 2**53 is exact in a float.
+    """
+    if len(ticks) == first:
+        return 0.0
+    start = now - window
+    if start < 0:
+        start = 0
+    if now <= start:
+        return float(values[-1])
+
+    def area(x: int) -> int:
+        index = bisect_right(ticks, x, first) - 1
+        if index < first:
+            return integral[first]
+        return integral[index] + values[index] * (x - ticks[index])
+
+    return (area(now) - area(start)) / float(now - start)
+
+
 def windowed_average(samples: List[Tuple[int, int]], now: int,
                      window: int) -> float:
     """Time-weighted average of a step signal over ``[now - window, now]``.
@@ -235,26 +283,13 @@ def windowed_average(samples: List[Tuple[int, int]], now: int,
     holds ``value`` from ``tick`` until the next sample.  Ticks before
     the first sample count as zero — a pool that has only just seen
     traffic is mostly-idle over a long window, which is exactly the
-    damping the stable window exists to provide.
+    damping the stable window exists to provide.  The autoscaler keeps
+    the prefix integrals incrementally; this one-shot form builds them.
     """
-    if not samples:
-        return 0.0
-    start = now - window
-    if start < 0:
-        start = 0
-    if now <= start:
-        return float(samples[-1][1])
-    total = 0.0
-    # Walk the step function across the window.  Segment i spans
-    # [tick_i, tick_{i+1}); the last segment extends to `now`.
-    for index, (tick, value) in enumerate(samples):
-        seg_start = tick
-        seg_end = samples[index + 1][0] if index + 1 < len(samples) else now
-        lo = seg_start if seg_start > start else start
-        hi = seg_end if seg_end < now else now
-        if hi > lo:
-            total += value * (hi - lo)
-    return total / float(now - start)
+    ticks = [tick for tick, _ in samples]
+    values = [value for _, value in samples]
+    return _average(ticks, values, _integrals(ticks, values), 0, now,
+                    window)
 
 
 class ConcurrencyAutoscaler:
@@ -270,21 +305,60 @@ class ConcurrencyAutoscaler:
     def __init__(self, config: ScalingConfig, function: str):
         self.config = config
         self.function = function
-        #: Step-signal samples of in-flight demand: ``(tick, value)``.
-        self.samples: List[Tuple[int, int]] = []
+        #: The step signal of in-flight demand as parallel lists: the
+        #: signal holds ``values[i]`` from ``ticks[i]`` to the next tick,
+        #: and ``integral[i]`` is its exact area up to ``ticks[i]``.
+        #: Samples before ``first`` have expired out of the stable window.
+        self.ticks: List[int] = []
+        self.values: List[int] = []
+        self.integral: List[int] = []
+        self.first = 0
         #: Tick until which panic mode holds (0 = not panicking).
         self.panic_until = 0
 
     def observe(self, tick: int, in_flight: int) -> None:
-        """Record the demand signal at ``tick`` (monotone non-decreasing)."""
-        if self.samples and self.samples[-1][0] == tick:
-            self.samples[-1] = (tick, in_flight)
+        """Record the demand signal at ``tick`` (never earlier than the
+        previous sample's tick)."""
+        ticks, values, integral = self.ticks, self.values, self.integral
+        if not ticks:
+            ticks.append(tick)
+            values.append(in_flight)
+            integral.append(0)
+        elif tick > ticks[-1]:
+            integral.append(integral[-1] + values[-1] * (tick - ticks[-1]))
+            ticks.append(tick)
+            values.append(in_flight)
+        elif tick == ticks[-1]:
+            values[-1] = in_flight
         else:
-            self.samples.append((tick, in_flight))
-        # Keep just enough history to cover the stable window.
+            raise ValueError("%s: observed tick %d is earlier than the last "
+                             "sample's tick %d" % (self.function, tick,
+                                                   ticks[-1]))
+        # Keep just enough history to cover the stable window: the last
+        # sample at or before its start, and everything after it.
         horizon = tick - self.config.stable_window
-        while len(self.samples) > 2 and self.samples[1][0] <= horizon:
-            self.samples.pop(0)
+        first = self.first
+        last = len(ticks) - 2
+        while first < last and ticks[first + 1] <= horizon:
+            first += 1
+        if 2 * first >= len(ticks):
+            # Expired samples are half the lists: drop them in one go,
+            # amortised O(1) per sample.
+            del ticks[:first], values[:first], integral[:first]
+            first = 0
+        self.first = first
+
+    @property
+    def retained(self) -> int:
+        """Samples the stable window still needs."""
+        return len(self.ticks) - self.first
+
+    def average(self, now: int, window: int) -> float:
+        """Time-weighted demand over ``[now - window, now]``, O(log
+        history); exact for ``now`` at or after the last sample and
+        ``window`` up to ``stable_window``."""
+        return _average(self.ticks, self.values, self.integral, self.first,
+                        now, window)
 
     @property
     def panicking(self) -> bool:
@@ -298,8 +372,8 @@ class ConcurrencyAutoscaler:
         a panic boundary (the router turns those into scaling events).
         """
         config = self.config
-        stable_avg = windowed_average(self.samples, now, config.stable_window)
-        panic_avg = windowed_average(self.samples, now, config.panic_window)
+        stable_avg = self.average(now, config.stable_window)
+        panic_avg = self.average(now, config.panic_window)
         want_stable = int(math.ceil(stable_avg / config.target_concurrency))
         want_panic = int(math.ceil(panic_avg / config.target_concurrency))
 
@@ -326,6 +400,6 @@ class ConcurrencyAutoscaler:
 
     def __repr__(self) -> str:
         return "ConcurrencyAutoscaler(%s, %d samples%s)" % (
-            self.function, len(self.samples),
+            self.function, self.retained,
             ", PANIC" if self.panicking else "",
         )
