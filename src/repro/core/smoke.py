@@ -25,7 +25,11 @@ Beyond the full-detail batch, a smoke run can time three extra phases:
   hot-block JIT's compiled functions already cached, timing pure
   compiled replay; the one-time codegen overhead the earlier phases
   paid is reported separately (``compile``), so compile cost and
-  replay benefit never blur into one number.
+  replay benefit never blur into one number.  When the full-detail
+  phase ran in pool workers (``jobs > 1``), an untimed in-process pass
+  compiles the blocks first.
+
+Both same-process phases run with ``jobs=1`` whatever ``jobs`` is.
 * ``legacy`` — the same batch with the predecode cache disabled
   (``REPRO_PREDECODE=0`` semantics), giving a same-machine baseline so
   speedups are comparable across differently-provisioned CI hosts.
@@ -186,10 +190,12 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
         # its own (warm-path decode, and JIT codegen for warm/windowed
         # units the full-detail phase never ran), which would otherwise
         # land inside the timed window.  The phase's contract is the
-        # warm simulation hot loop, so pay them here.
-        _run_batches(jobs, cache, sampling=config)
+        # warm simulation hot loop, so pay them here.  Both passes run
+        # in this process (jobs=1) whatever ``jobs`` is: pool workers
+        # would start cold.
+        _run_batches(1, cache, sampling=config)
         sampled_batches, _, sampled_wall = _run_batches(
-            jobs, cache, sampling=config)
+            1, cache, sampling=config)
         report["sampled"] = {
             "sampling": config.fingerprint(),
             "batches": sampled_batches,
@@ -201,6 +207,10 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
         }
 
     if blockjit.enabled() and predecode.enabled():
+        if resolved_jobs > 1:
+            # The full-detail phase ran in pool workers, so this process
+            # has not compiled its blocks: do that untimed first.
+            _run_batches(1, cache)
         replays = predecode.STATS["block_replays"]
         compile_stats = {
             "compiled_units": blockjit.STATS["compiled_units"],
@@ -209,7 +219,7 @@ def run_smoke(jobs: Optional[int] = None, cache=False,
             "compiled_calls": blockjit.STATS["compiled_calls"],
             "interpreted_calls": blockjit.STATS["interpreted_calls"],
         }
-        jit_batches, _, jit_wall = _run_batches(jobs, cache)
+        jit_batches, _, jit_wall = _run_batches(1, cache)
         report["jit"] = {
             "batches": jit_batches,
             "wall_s": round(jit_wall, 3),

@@ -53,6 +53,7 @@ from repro.core.spec import MeasurementSpec
 from repro.serverless.loadgen import ARRIVAL_PROFILES
 from repro.serverless.platform import PLACEMENT_POLICIES
 from repro.sim.cpu.bpred import PREDICTORS
+from repro.sim.mem.cache import geometry_error
 from repro.sim.mem.prefetcher import PREFETCHER_KINDS
 from repro.sim.mem.replacement import policy_names
 
@@ -157,9 +158,8 @@ def platform_override(isa: str, memory_mb: int = MEMORY_REFERENCE_MB,
     base = platform_for(isa)
     changes: Dict[str, Dict[str, Any]] = {"mem": {}, "o3": {}}
     if memory_mb != MEMORY_REFERENCE_MB:
-        l2_size = int(base.mem_config.l2_size * memory_mb / MEMORY_REFERENCE_MB)
-        changes["mem"]["l2_size"] = max(MIN_L2_BYTES,
-                                        min(l2_size, MAX_L2_BYTES))
+        changes["mem"]["l2_size"] = l2_slice_bytes(base.mem_config.l2_size,
+                                                   memory_mb)
     for knob, value in microarch.items():
         changes["mem" if knob in MEM_KNOBS else "o3"][knob] = value
     mem = _with_fields(base.mem_config, changes["mem"])
@@ -170,6 +170,14 @@ def platform_override(isa: str, memory_mb: int = MEMORY_REFERENCE_MB,
     platform.mem_config = mem
     platform.o3_config = o3
     return platform
+
+
+def l2_slice_bytes(canonical_l2: int, memory_mb: int) -> int:
+    """The L2 a ``memory_mb`` grant buys on a platform whose canonical L2
+    is ``canonical_l2`` bytes: linear in the grant, clamped to
+    [:data:`MIN_L2_BYTES`, :data:`MAX_L2_BYTES`]."""
+    l2_size = int(canonical_l2 * memory_mb / MEMORY_REFERENCE_MB)
+    return max(MIN_L2_BYTES, min(l2_size, MAX_L2_BYTES))
 
 
 def _with_fields(config: Any, changes: Dict[str, Any]) -> Any:
@@ -355,6 +363,9 @@ class ExperimentSpec:
             if not isinstance(memory_mb, int) or memory_mb <= 0:
                 raise ValueError("memory_mb must be a positive int, got %r"
                                  % (memory_mb,))
+        if self.kind == "measure":
+            self._validate_l2_slices(candidates("isa"),
+                                     candidates("memory_mb"))
         for knob in MICROARCH_KNOBS:
             choices = MICROARCH_CHOICES.get(knob)
             floor = 0 if knob.endswith("_degree") else 1
@@ -384,6 +395,24 @@ class ExperimentSpec:
                     raise ValueError("unknown placement %r (known: %s)"
                                      % (placement,
                                         ", ".join(PLACEMENT_POLICIES)))
+
+    @staticmethod
+    def _validate_l2_slices(isas, grants) -> None:
+        """Every ``memory_mb`` grant must buy an L2 the simulator can
+        build; checked with :func:`platform_override`'s arithmetic and
+        the cache model's own geometry rule, before anything runs."""
+        for isa in isas:
+            mem = platform_for(isa).mem_config
+            for memory_mb in grants:
+                if memory_mb == MEMORY_REFERENCE_MB:
+                    continue
+                l2_size = l2_slice_bytes(mem.l2_size, memory_mb)
+                error = geometry_error(l2_size, mem.l2_assoc, mem.line_size)
+                if error is not None:
+                    raise ValueError(
+                        "memory_mb %d buys a %d-byte L2 slice, which is no "
+                        "valid %d-way cache (%s); use a power-of-two grant"
+                        % (memory_mb, l2_size, mem.l2_assoc, error))
 
     # -- accessors ----------------------------------------------------
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.envknobs import env_int
@@ -274,6 +275,7 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
     line_shift = mem._line_shift
     ifetch = mem.ifetch
     data_access = mem.data_access
+    data_run = mem.data_run
     decode_cache = predecode._cache_for(assembled, ("atomic", line_shift))
     jit_cache = predecode._cache_for(assembled, ("jit-atomic", line_shift))
     routines = assembled.routines
@@ -315,21 +317,15 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                     if tag == 1:
                         cycles += step[1]
                     elif tag == 4:
-                        write = step[1]
-                        pc = step[2]
-                        for addr in step[3]:
-                            cycles += 1
-                            cycles += data_access(addr, write, cycles, pc)
+                        cycles = data_run(zip(repeat(step[2]), step[3]),
+                                          step[1], cycles)
                     elif tag == 0:
                         line = step[2]
                         if line != current_line:
                             cycles += ifetch(step[1], cycles)
                             current_line = line
                     elif tag == 6:
-                        write = step[1]
-                        for pc, addr in step[2]:
-                            cycles += 1
-                            cycles += data_access(addr, write, cycles, pc)
+                        cycles = data_run(step[2], step[1], cycles)
                     elif tag == 5:
                         write = step[1]
                         pc = step[2]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import repeat
 from typing import Iterator, List, Optional, Tuple
 
 from repro.sim.isa import ir
@@ -333,6 +334,7 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
     line_shift = mem._line_shift
     ifetch = mem.ifetch
     data_access = mem.data_access
+    data_run = mem.data_run
     blocks = _cache_for(assembled, ("atomic", line_shift))
     routines = assembled.routines
     class_counts = [0] * _NUM_CLASSES
@@ -354,11 +356,8 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                     if tag == 1:
                         cycles += step[1]
                     elif tag == 4:
-                        write = step[1]
-                        pc = step[2]
-                        for addr in step[3]:
-                            cycles += 1
-                            cycles += data_access(addr, write, cycles, pc)
+                        cycles = data_run(zip(repeat(step[2]), step[3]),
+                                          step[1], cycles)
                     elif tag == 0:
                         line = step[2]
                         if line != current_line:
@@ -374,10 +373,7 @@ def atomic_run(assembled, seed: int, mem) -> Tuple[int, List[int]]:
                             cycles += data_access(base + offset, write,
                                                   cycles, pc)
                     elif tag == 6:
-                        write = step[1]
-                        for pc, addr in step[2]:
-                            cycles += 1
-                            cycles += data_access(addr, write, cycles, pc)
+                        cycles = data_run(step[2], step[1], cycles)
                     elif tag == 2:
                         n = step[1]
                         for _ in range(n):

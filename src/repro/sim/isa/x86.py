@@ -68,36 +68,31 @@ class X86ISA(ISA):
     }
 
     #: Instruction-length distribution (bytes -> weight), approximating
-    #: x86-64 integer code from compiler output.
+    #: x86-64 integer code from compiler output.  The weights sum to 100.
     _SIZES = (2, 3, 4, 5, 6, 7, 8)
     _WEIGHTS = (18, 24, 22, 16, 10, 6, 4)
-    _CUMULATIVE = []
-    _total = 0
-    for _size, _weight in zip(_SIZES, _WEIGHTS):
-        _total += _weight
-        _CUMULATIVE.append((_total, _size))
-    del _size, _weight
+    #: One entry per unit of weight: a uniform draw below ``_total``
+    #: indexes the size.
+    _SIZE_TABLE = tuple(size for size, weight in zip(_SIZES, _WEIGHTS)
+                        for _ in range(weight))
+    _total = len(_SIZE_TABLE)
 
     def instr_size(self, rng: random.Random) -> int:
-        pick = rng.randrange(self._total)
-        for bound, size in self._CUMULATIVE:
-            if pick < bound:
-                return size
-        return self._SIZES[-1]
+        return self._SIZE_TABLE[rng.randrange(self._total)]
 
     def instr_sizes(self, rng: random.Random, count: int):
-        randrange = rng.randrange
+        # rng.randrange(n) is getrandbits(n.bit_length()) redrawn until
+        # it falls below n; doing that here draws the same stream
+        # without randrange's per-call argument handling.
+        getrandbits = rng.getrandbits
+        table = self._SIZE_TABLE
         total = self._total
-        cumulative = self._CUMULATIVE
-        fallback = self._SIZES[-1]
+        bits = total.bit_length()
         out = []
         append = out.append
         for _ in range(count):
-            pick = randrange(total)
-            for bound, size in cumulative:
-                if pick < bound:
-                    append(size)
-                    break
-            else:
-                append(fallback)
+            pick = getrandbits(bits)
+            while pick >= total:
+                pick = getrandbits(bits)
+            append(table[pick])
         return out

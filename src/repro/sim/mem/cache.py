@@ -1,17 +1,26 @@
 """Set-associative cache model.
 
 Tag-only (the simulator keeps data in the functional layer), write-back
-write-allocate, with pluggable per-set replacement.  Every access is
-counted in the attached :class:`~repro.sim.statistics.StatGroup`, so the
-harness's stat-reset/stat-dump protocol sees exactly the counters the
-thesis reports: accesses, hits, misses, and writebacks.
+write-allocate, with pluggable replacement.  Every access is counted in
+the attached :class:`~repro.sim.statistics.StatGroup`, so the harness's
+stat-reset/stat-dump protocol sees exactly the counters the thesis
+reports: accesses, hits, misses, and writebacks.
+
+State is flat: each set is one insertion-ordered ``dict`` mapping line
+-> dirty bit, kept in the replacement policy's victim order (see
+:mod:`repro.sim.mem.replacement`).  A hit is one dict lookup, an LRU
+promotion one re-insert, and a deterministic eviction one
+``next(iter(set))``.  :meth:`Cache.access_line` and :meth:`Cache.fill_line`
+are the single-level operations; the per-core hierarchy
+(:mod:`repro.sim.mem.hierarchy`) inlines the same steps on its timed
+path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
-from repro.sim.mem.replacement import ReplacementPolicy, make_policy
+from repro.sim.mem.replacement import make_policy
 from repro.sim.statistics import Stat, StatGroup
 
 
@@ -25,7 +34,8 @@ class _CounterView(Stat):
     The access path increments ``owner.<attr>`` as a bare integer (no
     bound-method call per access); this view keeps the reset/dump
     protocol working by remembering the attribute's value at the last
-    reset and reporting the delta.  Used by the cache and TLB models.
+    reset and reporting the delta.  Used by the cache, TLB, DRAM and
+    prefetch counters.
     """
 
     def __init__(self, name: str, owner: object, attr: str, desc: str = ""):
@@ -47,6 +57,21 @@ class _CounterView(Stat):
         return "_CounterView(%s=%s)" % (self.name, self.value())
 
 
+def geometry_error(size_bytes: int, assoc: int, line_size: int) -> Optional[str]:
+    """Why ``size_bytes``/``assoc``/``line_size`` is no valid cache, or
+    ``None``.  :class:`Cache` raises on it; experiment specs check the
+    caches their knobs derive with it before anything runs."""
+    if not _is_pow2(line_size):
+        return "line size must be a power of two, got %d" % line_size
+    if size_bytes % (assoc * line_size) != 0:
+        return ("size %d not divisible by assoc*line (%d*%d)"
+                % (size_bytes, assoc, line_size))
+    num_sets = size_bytes // (assoc * line_size)
+    if not _is_pow2(num_sets):
+        return "set count %d must be a power of two" % num_sets
+    return None
+
+
 class Cache:
     """One level of tag-only set-associative cache."""
 
@@ -60,16 +85,10 @@ class Cache:
         stats_parent: Optional[StatGroup] = None,
         policy_kwargs: Optional[Dict] = None,
     ):
-        if not _is_pow2(line_size):
-            raise ValueError("line size must be a power of two, got %d" % line_size)
-        if size_bytes % (assoc * line_size) != 0:
-            raise ValueError(
-                "cache %s: size %d not divisible by assoc*line (%d*%d)"
-                % (name, size_bytes, assoc, line_size)
-            )
+        error = geometry_error(size_bytes, assoc, line_size)
+        if error is not None:
+            raise ValueError("cache %s: %s" % (name, error))
         num_sets = size_bytes // (assoc * line_size)
-        if not _is_pow2(num_sets):
-            raise ValueError("cache %s: set count %d must be a power of two" % (name, num_sets))
 
         self.name = name
         self.size_bytes = size_bytes
@@ -79,13 +98,16 @@ class Cache:
         self._set_mask = num_sets - 1
         self._line_shift = line_size.bit_length() - 1
         self.policy_name = policy
-        self._policy_kwargs: Dict = dict(policy_kwargs or {})
+        #: One policy object for every set (see repro.sim.mem.replacement);
+        #: ``_promotes``/``_draw`` are its rules, hoisted for the access
+        #: paths.  ``_draw`` is ``None`` when a full set evicts its first
+        #: line.
+        self.policy = make_policy(policy, **(policy_kwargs or {}))
+        self._promotes = self.policy.promotes
+        self._draw = self.policy.victim if self.policy.draws else None
 
-        self._sets: List[Set[int]] = [set() for _ in range(num_sets)]
-        self._dirty: List[Set[int]] = [set() for _ in range(num_sets)]
-        self._policies: List[ReplacementPolicy] = [
-            self._make_policy(index) for index in range(num_sets)
-        ]
+        #: line -> dirty bit per set, in victim order.
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(num_sets)]
 
         # Hot-path counters are plain ints; the registered stats are
         # views over them so reset/dump still work (see _CounterView).
@@ -116,18 +138,6 @@ class Cache:
             "misses / accesses",
         )
 
-    def _make_policy(self, index: int) -> ReplacementPolicy:
-        """The single construction point for per-set replacement policies.
-
-        ``__init__``, :meth:`flush` and :meth:`load_state` all build
-        policies here, so a restore can never diverge from the original
-        configuration (seed or custom kwargs).  A caller-supplied seed in
-        ``policy_kwargs`` overrides the per-set default.
-        """
-        kwargs = dict(self._policy_kwargs)
-        kwargs.setdefault("seed", index)
-        return make_policy(self.policy_name, **kwargs)
-
     # -- core access path ---------------------------------------------------
 
     def line_of(self, addr: int) -> int:
@@ -139,56 +149,55 @@ class Cache:
         On a miss the line is allocated (write-allocate) and a victim
         evicted if the set is full; a dirty victim counts a writeback.
         """
-        index = line & self._set_mask
-        resident = self._sets[index]
+        resident = self._sets[line & self._set_mask]
         self.accesses += 1
         profiler = self.profiler
-        if line in resident:
+        dirty = resident.get(line)
+        if dirty is not None:
             self.hits += 1
             if profiler is not None:
                 profiler.on_hit(line)
-            self._policies[index].touch(line)
-            if write:
-                self._dirty[index].add(line)
+            if self._promotes:
+                del resident[line]
+                resident[line] = dirty or write
+            elif write:
+                resident[line] = True
             return True
         self.misses += 1
         if profiler is not None:
             profiler.on_miss(line)
-        policy = self._policies[index]
         if len(resident) >= self.assoc:
-            victim = policy.victim()
-            policy.evict(victim)
-            resident.discard(victim)
-            dirty = self._dirty[index]
-            if victim in dirty:
-                dirty.discard(victim)
+            draw = self._draw
+            if resident.pop(next(iter(resident)) if draw is None
+                            else draw(line & self._set_mask, resident)):
                 self.writebacks += 1
-        resident.add(line)
-        policy.insert(line)
-        if write:
-            self._dirty[index].add(line)
+        resident[line] = write
         return False
 
     def access(self, addr: int, write: bool = False) -> bool:
         """Byte-address convenience wrapper around :meth:`access_line`."""
         return self.access_line(self.line_of(addr), write)
 
+    def fill_lines(self, lines: Iterable[int]) -> None:
+        """Install lines, in order, without counting demand accesses
+        (prefetch fills).  A line already resident is left where it is."""
+        sets = self._sets
+        mask = self._set_mask
+        assoc = self.assoc
+        draw = self._draw
+        for line in lines:
+            resident = sets[line & mask]
+            if line in resident:
+                continue
+            if len(resident) >= assoc:
+                if resident.pop(next(iter(resident)) if draw is None
+                                else draw(line & mask, resident)):
+                    self.writebacks += 1
+            resident[line] = False
+
     def fill_line(self, line: int) -> None:
-        """Install a line without counting a demand access (prefetch fill)."""
-        index = line & self._set_mask
-        resident = self._sets[index]
-        if line in resident:
-            return
-        policy = self._policies[index]
-        if len(resident) >= self.assoc:
-            victim = policy.victim()
-            policy.evict(victim)
-            resident.discard(victim)
-            if victim in self._dirty[index]:
-                self._dirty[index].discard(victim)
-                self.writebacks += 1
-        resident.add(line)
-        policy.insert(line)
+        """Install one line without counting a demand access."""
+        self.fill_lines((line,))
 
     def contains_line(self, line: int) -> bool:
         return line in self._sets[line & self._set_mask]
@@ -198,11 +207,10 @@ class Cache:
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty writebacks."""
         writebacks = 0
-        for index in range(self.num_sets):
-            writebacks += len(self._dirty[index])
-            self._sets[index].clear()
-            self._dirty[index].clear()
-            self._policies[index] = self._make_policy(index)
+        for resident in self._sets:
+            writebacks += sum(resident.values())
+            resident.clear()
+        self.policy.reset()
         self.writebacks += writebacks
         return writebacks
 
@@ -212,11 +220,16 @@ class Cache:
     # -- checkpoint support ---------------------------------------------------
 
     def state_dict(self) -> Dict:
-        """Microarchitectural state for checkpointing (tags + dirty bits)."""
+        """Microarchitectural state for checkpointing (tags + dirty bits).
+
+        ``sets`` lists each set's lines in victim order, ``dirty`` each
+        set's dirty lines sorted.
+        """
         return {
             "geometry": (self.size_bytes, self.assoc, self.line_size),
-            "sets": [policy.state() for policy in self._policies],
-            "dirty": [sorted(d) for d in self._dirty],
+            "sets": [list(resident) for resident in self._sets],
+            "dirty": [sorted(line for line, dirty in resident.items() if dirty)
+                      for resident in self._sets],
         }
 
     def load_state(self, state: Dict) -> None:
@@ -232,12 +245,9 @@ class Cache:
                    self.line_size)
             )
         for index, (tags, dirty) in enumerate(zip(state["sets"], state["dirty"])):
-            policy = self._make_policy(index)
-            self._sets[index] = set(tags)
-            self._dirty[index] = set(dirty)
-            for tag in tags:  # re-establish recency order
-                policy.insert(tag)
-            self._policies[index] = policy
+            dirty = set(dirty)
+            self._sets[index] = {tag: tag in dirty for tag in tags}
+        self.policy.reset()
 
     def __repr__(self) -> str:
         return "Cache(%s: %dB %d-way, %d sets, %s)" % (

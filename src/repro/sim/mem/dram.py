@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.sim.mem.cache import _CounterView
 from repro.sim.statistics import StatGroup
 
 
@@ -44,27 +45,35 @@ class DramModel:
         self._last_access_cycle = -(10**9)
         self._recent_accesses = 0
 
+        # Plain-int counters behind _CounterView stats, as in the caches.
+        self.reads = 0
+        self.row_hits = 0
+        self.row_conflicts = 0
         stats = (stats_parent or StatGroup("orphan")).group("dram")
-        self.stat_reads = stats.scalar("accesses", "memory accesses")
-        self.stat_row_hits = stats.scalar("rowHits", "row buffer hits")
-        self.stat_row_conflicts = stats.scalar("rowConflicts", "row buffer conflicts")
+        self.stat_reads = stats.add(_CounterView(
+            "accesses", self, "reads", "memory accesses"))
+        self.stat_row_hits = stats.add(_CounterView(
+            "rowHits", self, "row_hits", "row buffer hits"))
+        self.stat_row_conflicts = stats.add(_CounterView(
+            "rowConflicts", self, "row_conflicts", "row buffer conflicts"))
 
     def access(self, addr: int, now_cycle: int = 0) -> int:
         """Latency in core cycles for one line fill from DRAM."""
-        self.stat_reads.inc()
+        self.reads += 1
         row = addr // self.row_bytes
         bank = row % self.banks
         latency = self.controller_cycles + self.cas_cycles
 
-        open_row = self._open_rows.get(bank)
+        open_rows = self._open_rows
+        open_row = open_rows.get(bank)
         if open_row == row:
-            self.stat_row_hits.inc()
+            self.row_hits += 1
         else:
-            self.stat_row_conflicts.inc()
+            self.row_conflicts += 1
             latency += self.activate_cycles
             if open_row is not None:
                 latency += self.precharge_cycles
-            self._open_rows[bank] = row
+            open_rows[bank] = row
 
         # Crude queueing: accesses clustered within the window contend.
         if now_cycle - self._last_access_cycle <= self.queue_window:

@@ -2,25 +2,30 @@
 
 Mirrors Fig 4.3 of the thesis: each core owns split L1 caches and a
 private L2; both cores share the DRAM controller.  The hierarchy exposes
-two operations to the CPU models:
+three timed operations to the CPU models:
 
 * :meth:`CoreMemSystem.ifetch` — fetch one instruction cache line,
 * :meth:`CoreMemSystem.data_access` — one load/store,
+* :meth:`CoreMemSystem.data_run` — a run of loads or stores, exactly
+  the ``data_access`` loop over it, in one call,
 
-each returning the access latency in cycles while updating cache state and
-statistics.  A third, :meth:`warm_touch`, updates state without timing —
-used for the functional fast-forward between the cold (1st) and warm
-(10th) requests of the experiment protocol.
+each updating cache state and statistics and returning latency in cycles
+(``data_run``: the cycle count after the run).  All three go through one
+access kernel that inlines the TLB, cache and prefetch steps over the
+caches' flat per-set state (see :mod:`repro.sim.mem.cache`).  A fourth,
+:meth:`warm_touch`, updates state without timing — used for the
+functional fast-forward between the cold (1st) and warm (10th) requests
+of the experiment protocol.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.sim.mem.cache import Cache
+from repro.sim.mem.cache import Cache, _CounterView
 from repro.sim.mem.dram import DramModel
 from repro.sim.mem.prefetcher import make_prefetcher
-from repro.sim.mem.tlb import Tlb
+from repro.sim.mem.tlb import PAGE_SHIFT, Tlb
 from repro.sim.statistics import StatGroup
 
 
@@ -134,25 +139,27 @@ class CoreMemSystem:
                                             cfg.prefetch_i_degree)
         self._dprefetcher = make_prefetcher(cfg.prefetch_d_kind,
                                             cfg.prefetch_d_degree)
-        self.stat_prefetches = stats.scalar("prefetchFills", "lines installed by prefetch")
+        self.prefetch_fills = 0
+        self.stat_prefetches = stats.add(_CounterView(
+            "prefetchFills", self, "prefetch_fills",
+            "lines installed by prefetch"))
 
     # -- timed access paths ---------------------------------------------------
+    #
+    # One kernel, :meth:`_access`, does a whole timed access in one call:
+    # the TLB hit check (``Tlb.miss`` on a miss), the L1 hit or
+    # allocation, the prefetch fills (one ``fill_lines`` per level), the
+    # L2, then DRAM.  The cache steps are Cache.access_line's, inlined
+    # over the flat per-set dicts; a level with a profiler attached goes
+    # through access_line itself so the profiler sees every demand
+    # access.  ``ifetch``/``data_access`` pick the I- or D-side units, and
+    # ``data_run`` replays a whole memory run with the TLB-hit/L1-hit case
+    # inline, handing every other access to the kernel.
 
     def ifetch(self, addr: int, now_cycle: int = 0) -> int:
         """Fetch the line containing ``addr``; returns latency in cycles."""
-        latency = self._l1_latency + self.itlb.translate(addr)
-        line = addr >> self._line_shift
-        if self.l1i.access_line(line):
-            return latency
-        l2 = self.l2
-        for fill in self._iprefetcher.on_miss(addr, line):
-            self.l1i.fill_line(fill)
-            l2.fill_line(fill)
-            self.stat_prefetches.inc()
-        latency += self._l2_latency
-        if l2.access_line(line):
-            return latency
-        return latency + self.dram.access(addr, now_cycle)
+        return self._access(self.itlb, self.l1i, self._iprefetcher, addr,
+                            addr, False, now_cycle)
 
     def data_access(self, addr: int, write: bool = False, now_cycle: int = 0,
                     pc: int = 0) -> int:
@@ -161,17 +168,126 @@ class CoreMemSystem:
         ``pc`` identifies the accessing instruction for PC-indexed
         prefetchers; timing is unaffected by it otherwise.
         """
-        latency = self._l1_latency + self.dtlb.translate(addr)
+        return self._access(self.dtlb, self.l1d, self._dprefetcher, pc,
+                            addr, write, now_cycle)
+
+    def data_run(self, pairs, write: bool, cycles: int) -> int:
+        """A run of loads or stores; returns the cycle count after it.
+
+        Exactly ``for pc, addr in pairs: cycles += 1; cycles +=
+        self.data_access(addr, write, cycles, pc)``, in one call.
+        """
+        dtlb = self.dtlb
+        l1d = self.l1d
+        access = self._access
+        prefetcher = self._dprefetcher
+        if l1d.profiler is not None:
+            for pc, addr in pairs:
+                cycles += 1
+                cycles += access(dtlb, l1d, prefetcher, pc, addr, write,
+                                 cycles)
+            return cycles
+        entries = dtlb._tlb
+        sets = l1d._sets
+        mask = l1d._set_mask
+        shift = self._line_shift
+        promotes = l1d._promotes
+        hit_cycles = 1 + self._l1_latency
+        # The most recently translated page is always resident and most
+        # recently used, so a repeat needs no TLB update.
+        last_page = -1
+        hits = 0
+        for pc, addr in pairs:
+            page = addr >> PAGE_SHIFT
+            if page == last_page or page in entries:
+                line = addr >> shift
+                resident = sets[line & mask]
+                dirty = resident.get(line)
+                if dirty is not None:
+                    if page != last_page:
+                        del entries[page]
+                        entries[page] = None
+                        last_page = page
+                    if promotes:
+                        del resident[line]
+                        resident[line] = dirty or write
+                    elif write:
+                        resident[line] = True
+                    hits += 1
+                    cycles += hit_cycles
+                    continue
+            cycles += 1
+            cycles += access(dtlb, l1d, prefetcher, pc, addr, write, cycles)
+            last_page = page
+        dtlb.accesses += hits
+        l1d.accesses += hits
+        l1d.hits += hits
+        return cycles
+
+    def _access(self, tlb: Tlb, l1: Cache, prefetcher, key: int, addr: int,
+                write: bool, now_cycle: int) -> int:
+        """The timed access kernel; ``key`` feeds the prefetcher."""
+        page = addr >> PAGE_SHIFT
+        entries = tlb._tlb
+        tlb.accesses += 1
+        if page in entries:
+            del entries[page]
+            entries[page] = None
+            latency = self._l1_latency
+        else:
+            latency = self._l1_latency + tlb.miss(page)
         line = addr >> self._line_shift
-        if self.l1d.access_line(line, write):
+
+        if l1.profiler is None:
+            resident = l1._sets[line & l1._set_mask]
+            l1.accesses += 1
+            dirty = resident.get(line)
+            if dirty is not None:
+                l1.hits += 1
+                if l1._promotes:
+                    del resident[line]
+                    resident[line] = dirty or write
+                elif write:
+                    resident[line] = True
+                return latency
+            l1.misses += 1
+            if len(resident) >= l1.assoc:
+                draw = l1._draw
+                if resident.pop(next(iter(resident)) if draw is None
+                                else draw(line & l1._set_mask, resident)):
+                    l1.writebacks += 1
+            resident[line] = write
+        elif l1.access_line(line, write):
             return latency
+
         l2 = self.l2
-        for fill in self._dprefetcher.on_miss(pc, line):
-            self.l1d.fill_line(fill)
-            l2.fill_line(fill)
-            self.stat_prefetches.inc()
+        fills = prefetcher.on_miss(key, line)
+        if fills:
+            l1.fill_lines(fills)
+            l2.fill_lines(fills)
+            self.prefetch_fills += len(fills)
         latency += self._l2_latency
-        if l2.access_line(line, write):
+
+        if l2.profiler is None:
+            resident = l2._sets[line & l2._set_mask]
+            l2.accesses += 1
+            dirty = resident.get(line)
+            if dirty is not None:
+                l2.hits += 1
+                if l2._promotes:
+                    del resident[line]
+                    resident[line] = dirty or write
+                elif write:
+                    resident[line] = True
+                return latency
+            l2.misses += 1
+            if len(resident) >= l2.assoc:
+                draw = l2._draw
+                if resident.pop(next(iter(resident)) if draw is None
+                                else draw(line & l2._set_mask, resident)):
+                    l2.writebacks += 1
+            resident[line] = write
+        elif l2.access_line(line, write):
             return latency
         return latency + self.dram.access(addr, now_cycle)
 
@@ -181,23 +297,24 @@ class CoreMemSystem:
                    pc: int = 0) -> None:
         """Update cache/TLB state without producing a latency.
 
-        Statistics still accumulate; the harness discards them with a stat
-        reset before each measured region, matching the m5-ops protocol.
+        Statistics still accumulate (prefetch fills excepted); the
+        harness discards them with a stat reset before each measured
+        region, matching the m5-ops protocol.
         """
         line = addr >> self._line_shift
         if is_ifetch:
             self.itlb.translate(addr)
             if not self.l1i.access_line(line):
-                for fill in self._iprefetcher.on_miss(addr, line):
-                    self.l1i.fill_line(fill)
-                    self.l2.fill_line(fill)
+                fills = self._iprefetcher.on_miss(addr, line)
+                self.l1i.fill_lines(fills)
+                self.l2.fill_lines(fills)
                 self.l2.access_line(line)
         else:
             self.dtlb.translate(addr)
             if not self.l1d.access_line(line, write):
-                for fill in self._dprefetcher.on_miss(pc, line):
-                    self.l1d.fill_line(fill)
-                    self.l2.fill_line(fill)
+                fills = self._dprefetcher.on_miss(pc, line)
+                self.l1d.fill_lines(fills)
+                self.l2.fill_lines(fills)
                 self.l2.access_line(line, write)
 
     # -- maintenance -------------------------------------------------------------

@@ -1,8 +1,19 @@
-"""Cache replacement policies.
+"""Cache replacement policies over flat per-set state.
 
-Each policy manages victim selection within one cache set.  Policies are
-deliberately small objects: the cache keeps one instance per set, and the
-design-space-exploration benches swap them via :func:`make_policy`.
+A :class:`~repro.sim.mem.cache.Cache` keeps each set as one
+insertion-ordered ``dict`` mapping line -> dirty bit, and keeps that
+dict in *victim order*: the first key is the line the policy evicts
+next.  A policy is therefore just two rules over the dict, one object
+per cache (not per set):
+
+* ``promotes`` — whether a hit re-inserts the line at the back (LRU);
+  FIFO and random keep fill order;
+* :meth:`ReplacementPolicy.victim` — the line to evict from a full set.
+  LRU and FIFO take the first key; random draws from ``list(resident)``
+  with a per-set seeded rng.
+
+The design-space-exploration benches swap policies via
+:func:`make_policy`.
 """
 
 from __future__ import annotations
@@ -12,102 +23,61 @@ from typing import Dict, List, Optional
 
 
 class ReplacementPolicy:
-    """Per-set replacement state."""
+    """Victim order rules for every set of one cache."""
 
-    def touch(self, tag: int) -> None:
-        """Record a hit on ``tag``."""
-        raise NotImplementedError
+    #: A hit moves the line to the back of its set's victim order.
+    promotes = False
 
-    def insert(self, tag: int) -> None:
-        """Record the fill of ``tag`` (caller has ensured capacity)."""
-        raise NotImplementedError
+    #: Victims are drawn by :meth:`victim`; otherwise a full set always
+    #: evicts its first key, and the access paths inline that.
+    draws = False
 
-    def victim(self) -> int:
-        """Choose the tag to evict (set is full)."""
-        raise NotImplementedError
+    def victim(self, index: int, resident: Dict[int, bool]) -> int:
+        """The line to evict from full set ``index``."""
+        return next(iter(resident))
 
-    def evict(self, tag: int) -> None:
-        """Remove ``tag`` from the tracking state."""
-        raise NotImplementedError
-
-    def state(self) -> List[int]:
-        """Checkpointable ordering of resident tags."""
-        raise NotImplementedError
+    def reset(self) -> None:
+        """Drop any per-set state (flush and checkpoint restore)."""
 
 
 class LruPolicy(ReplacementPolicy):
-    """Least-recently-used, tracked with an insertion-ordered dict."""
+    """Least-recently-used: a hit re-inserts the line."""
 
-    __slots__ = ("_order",)
-
-    def __init__(self):
-        self._order: Dict[int, None] = {}
-
-    def touch(self, tag: int) -> None:
-        del self._order[tag]
-        self._order[tag] = None
-
-    def insert(self, tag: int) -> None:
-        self._order[tag] = None
-
-    def victim(self) -> int:
-        return next(iter(self._order))
-
-    def evict(self, tag: int) -> None:
-        del self._order[tag]
-
-    def state(self) -> List[int]:
-        return list(self._order)
+    promotes = True
 
 
 class FifoPolicy(ReplacementPolicy):
-    """First-in first-out: insertion order, hits do not promote."""
-
-    __slots__ = ("_order",)
-
-    def __init__(self):
-        self._order: Dict[int, None] = {}
-
-    def touch(self, tag: int) -> None:
-        pass
-
-    def insert(self, tag: int) -> None:
-        self._order[tag] = None
-
-    def victim(self) -> int:
-        return next(iter(self._order))
-
-    def evict(self, tag: int) -> None:
-        del self._order[tag]
-
-    def state(self) -> List[int]:
-        return list(self._order)
+    """First-in first-out: fill order, hits do not promote."""
 
 
 class RandomPolicy(ReplacementPolicy):
-    """Uniform random victim selection with a per-set deterministic RNG."""
+    """Uniform random victims with a deterministic rng per set.
 
-    __slots__ = ("_resident", "_rng")
+    Set ``index`` draws from ``random.Random(seed)`` when a seed is
+    given, else from ``random.Random(index)``.  Rngs are built on a
+    set's first eviction, which leaves every draw sequence unchanged.
+    """
 
-    def __init__(self, seed: int = 0):
-        self._resident: Dict[int, None] = {}
-        self._rng = random.Random(seed)
+    draws = True
 
-    def touch(self, tag: int) -> None:
-        pass
+    def __init__(self, seed: Optional[int] = None):
+        self.seed = seed
+        self._rngs: Dict[int, random.Random] = {}
 
-    def insert(self, tag: int) -> None:
-        self._resident[tag] = None
+    def rng(self, index: int) -> random.Random:
+        """Set ``index``'s victim rng."""
+        rng = self._rngs.get(index)
+        if rng is None:
+            rng = self._rngs[index] = random.Random(
+                index if self.seed is None else self.seed)
+        return rng
 
-    def victim(self) -> int:
-        keys = list(self._resident)
-        return keys[self._rng.randrange(len(keys))]
+    def victim(self, index: int, resident: Dict[int, bool]) -> int:
+        keys = list(resident)
+        return keys[self.rng(index).randrange(len(keys))]
 
-    def evict(self, tag: int) -> None:
-        del self._resident[tag]
-
-    def state(self) -> List[int]:
-        return list(self._resident)
+    def reset(self) -> None:
+        self._rngs.clear()
 
 
 _POLICIES = {
@@ -121,16 +91,16 @@ def make_policy(name: str, seed: Optional[int] = None,
                 **kwargs) -> ReplacementPolicy:
     """Instantiate a replacement policy by name (lru / fifo / random).
 
-    Extra keyword arguments are forwarded to the policy constructor, so a
-    cache built with custom policy parameters can rebuild identical
-    policies on flush/restore.
+    ``seed`` pins every set's rng of a ``random`` policy (``None``: set
+    ``index`` uses seed ``index``); the other policies ignore it.  Extra
+    keyword arguments are forwarded to the policy constructor.
     """
     try:
         cls = _POLICIES[name]
     except KeyError:
         raise ValueError("unknown replacement policy %r; have %s" % (name, sorted(_POLICIES)))
     if cls is RandomPolicy:
-        kwargs.setdefault("seed", seed or 0)
+        kwargs["seed"] = seed
     return cls(**kwargs)
 
 

@@ -64,33 +64,40 @@ class Tlb:
             del tlb[page]
             tlb[page] = None  # refresh LRU position
             return 0
-        self.misses += 1
-        if self.profiler is not None:
-            self.profiler.on_miss(page)
-        penalty = self._walk(page)
-        if len(tlb) >= self.entries:
-            del tlb[next(iter(tlb))]
-        tlb[page] = None
-        return penalty
+        return self.miss(page)
 
-    def _walk(self, page: int) -> int:
-        """Cost of the page walk; fills the walk cache."""
+    def miss(self, page: int) -> int:
+        """Install ``page`` after a miss; returns the walk's cycles.
+
+        The caller has counted the access.  The hierarchy's fused access
+        path does the hit check inline and calls this on a miss.
+        """
+        self.misses += 1
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.on_miss(page)
         # Upper-level directory entry covers a 2 MB region (512 pages).
         directory = page >> 9
         walk_cache = self._walk_cache
         if directory in walk_cache:
             del walk_cache[directory]
             walk_cache[directory] = None
-            return self.cached_walk_cycles
-        self.walks += 1
-        if self.profiler is not None:
-            self.profiler.on_walk(directory)
-        if len(walk_cache) >= self.walk_cache_entries:
-            del walk_cache[next(iter(walk_cache))]
-        walk_cache[directory] = None
-        # Full walk: a handful of dependent memory accesses; the hierarchy
-        # charges these as roughly two L2-latency lookups.
-        return self.cached_walk_cycles * 6
+            penalty = self.cached_walk_cycles
+        else:
+            self.walks += 1
+            if profiler is not None:
+                profiler.on_walk(directory)
+            if len(walk_cache) >= self.walk_cache_entries:
+                del walk_cache[next(iter(walk_cache))]
+            walk_cache[directory] = None
+            # Full walk: a handful of dependent memory accesses; the
+            # hierarchy charges these as roughly two L2-latency lookups.
+            penalty = self.cached_walk_cycles * 6
+        tlb = self._tlb
+        if len(tlb) >= self.entries:
+            del tlb[next(iter(tlb))]
+        tlb[page] = None
+        return penalty
 
     def flush(self) -> None:
         self._tlb.clear()

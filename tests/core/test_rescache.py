@@ -116,13 +116,13 @@ class TestPolicyRebuild:
         # the per-set default.
         cache = Cache("l1t", size_bytes=4096, assoc=2, line_size=64,
                       policy="random", policy_kwargs={"seed": 1234})
-        for line in range(64):
+        for line in range(256):  # evicts, so set 0's rng has advanced
             cache.access_line(line)
         cache.flush()
-        rebuilt = cache._policies[0]
+        rebuilt = cache.policy.rng(0)
         reference = Cache("l1r", size_bytes=4096, assoc=2, line_size=64,
                           policy="random", policy_kwargs={"seed": 1234})
-        assert rebuilt._rng.getstate() == reference._policies[0]._rng.getstate()
+        assert rebuilt.getstate() == reference.policy.rng(0).getstate()
 
     def test_state_round_trip_with_kwargs(self):
         from repro.sim.mem.cache import Cache

@@ -77,3 +77,42 @@ class TestWallRegression:
     def test_ratio(self):
         assert wall_regression({"wall_s": 2.0},
                                {"wall_s": 3.0}) == pytest.approx(0.5)
+
+
+class TestPhaseJobs:
+    """The same-process phases must run in this process, not in pool
+    workers, whatever ``jobs`` the full-detail phase used."""
+
+    @staticmethod
+    def phases(monkeypatch, jobs):
+        from repro.core import smoke
+        from repro.sim.isa import blockjit, predecode
+
+        calls = []
+
+        def fake_run_batches(jobs, cache, sampling=None):
+            calls.append((jobs, None if sampling is None else "sampled"))
+            return {}, 0, 1.0
+
+        monkeypatch.setattr(smoke, "_run_batches", fake_run_batches)
+        monkeypatch.setattr(smoke, "_run_cluster_serve", lambda: {})
+        monkeypatch.setattr(smoke, "_run_ml_infer", lambda: {})
+        monkeypatch.setattr(blockjit, "_ENABLED", True)
+        monkeypatch.setattr(predecode, "_ENABLED", True)
+        report = smoke.run_smoke(jobs=jobs)
+        assert "sampled" in report and "jit" in report
+        return calls
+
+    def test_pool_full_detail_then_in_process_phases(self, monkeypatch):
+        assert self.phases(monkeypatch, jobs=2) == [
+            (2, None),          # full detail, in pool workers
+            (1, "sampled"),     # sampled warmup
+            (1, "sampled"),     # sampled, timed
+            (1, None),          # jit warmup: compiles in this process
+            (1, None),          # jit, timed
+        ]
+
+    def test_in_process_full_detail_needs_no_jit_warmup(self, monkeypatch):
+        assert self.phases(monkeypatch, jobs=1) == [
+            (1, None), (1, "sampled"), (1, "sampled"), (1, None),
+        ]

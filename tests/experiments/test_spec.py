@@ -235,6 +235,15 @@ class TestValidation:
                   cost={"usd_per_lightyear": 1.0}), "cost rate"),
             (dict(name="x", kind="measure",
                   base={"memory_mb": 0}), "memory_mb"),
+            (dict(name="x", kind="measure", base={"memory_mb": 384}),
+             "memory_mb 384 buys a 393216-byte L2 slice.*set count 1536"),
+            (dict(name="x", kind="measure",
+                  axes=[("memory_mb", [512, 1536])]), "memory_mb 1536"),
+            (dict(name="x", kind="measure",
+                  axes=[("isa", ["riscv", "x86"]),
+                        ("memory_mb", [128, 3008])]), "memory_mb 3008"),
+            (dict(name="x", kind="measure", base={"memory_mb": 100}),
+             "memory_mb 100 .*set count 400"),
             (dict(name="x", kind="serve",
                   base={"profile": "tsunami"}), "profile"),
             (dict(name="x", kind="serve",
@@ -270,6 +279,14 @@ class TestValidation:
         for kwargs, fragment in cases:
             with pytest.raises(ValueError, match=fragment):
                 ExperimentSpec(**kwargs)
+
+    def test_grants_that_buy_no_cache_geometry(self):
+        # Clamped grants buy a valid L2 whatever their size; serve
+        # studies only price memory_mb, so any positive grant is fine.
+        for memory_mb in (16, 5000):
+            ExperimentSpec(name="x", kind="measure",
+                           base={"memory_mb": memory_mb})
+        ExperimentSpec(name="x", kind="serve", base={"memory_mb": 384})
 
     def test_immutable(self):
         spec = sweep_spec()

@@ -211,6 +211,28 @@ class TestInstrSizes:
         for _ in range(200):
             assert 2 <= isa.instr_size(rng) <= 8
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_x86_bulk_draws_match_randrange(self, seed):
+        """instr_sizes draws getrandbits itself; it must consume the rng
+        exactly as a randrange(100) walk of the size weights does."""
+        import random
+        isa = X86ISA()
+        expected_rng = random.Random(seed)
+        expected = []
+        for _ in range(500):
+            pick = expected_rng.randrange(100)
+            bound = 0
+            for size, weight in zip(X86ISA._SIZES, X86ISA._WEIGHTS):
+                bound += weight
+                if pick < bound:
+                    expected.append(size)
+                    break
+        rng = random.Random(seed)
+        assert isa.instr_sizes(rng, 500) == expected
+        assert rng.random() == expected_rng.random()
+        rng = random.Random(seed)
+        assert [isa.instr_size(rng) for _ in range(500)] == expected
+
     def test_get_isa_unknown(self):
         with pytest.raises(ValueError):
             get_isa("sparc")

@@ -262,3 +262,28 @@ class TestWorkModels:
         large = isa.assemble(function.invocation_program(
             record, {}, SimScale(time=1024, space=32))).dynamic_length()
         assert 2.0 < large / small < 8.0  # roughly 4x
+
+
+class TestHotelDataset:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_thumbnail_bytes_match_randrange(self, seed):
+        import random
+
+        from repro.workloads.hotel import _random_bytes
+
+        expected_rng = random.Random(seed)
+        expected = "".join("%02x" % expected_rng.randrange(256)
+                           for _ in range(600))
+        rng = random.Random(seed)
+        assert _random_bytes(rng, 600).hex() == expected
+        assert rng.random() == expected_rng.random()
+
+    def test_dataset_blob_is_pinned(self):
+        import hashlib
+
+        from repro.workloads.hotel import _dataset_blob
+
+        # SHA-256 of the seed-11 dataset as generated with randrange
+        # draws, before the thumbnail bytes were drawn in bulk.
+        assert hashlib.sha256(_dataset_blob(11)).hexdigest() == (
+            "16fd8f42cd09ae28043879084f7b2d1dec1c267a07c0db3207048283eb5e45bc")
