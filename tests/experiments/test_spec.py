@@ -280,7 +280,7 @@ class TestValidation:
             with pytest.raises(ValueError, match=fragment):
                 ExperimentSpec(**kwargs)
 
-    def test_grants_that_buy_no_cache_geometry(self):
+    def test_clamped_and_serve_grants_are_accepted(self):
         # Clamped grants buy a valid L2 whatever their size; serve
         # studies only price memory_mb, so any positive grant is fine.
         for memory_mb in (16, 5000):
